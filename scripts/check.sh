@@ -61,12 +61,22 @@
 #                                    races gen-0 against promoting
 #                                    finalizers on one shared database
 #                                    key, deep-checking the survivor
+#   scripts/check.sh --exec          trace-executor soak: runs the
+#                                    vm_test, dbi_test, property_test,
+#                                    xip_test and opt_tier_test binaries
+#                                    under ASan and then UBSan (the
+#                                    executor's page fast paths and Nop
+#                                    skip tables index memory through
+#                                    raw pointers; the suites drive the
+#                                    page-boundary faults, promoted Nop
+#                                    bodies and engine/interpreter
+#                                    equivalence through them)
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh --tsan -R CacheStore
-# In --faults, --xip, --replay and --opt modes the first extra argument
-# is the number of soak iterations per sanitizer (default 5, 2 for
-# --xip, --replay and --opt); in --fleet
+# In --faults, --xip, --replay, --opt and --exec modes the first extra
+# argument is the number of soak iterations per sanitizer (default 5, 2
+# for --xip, --replay and --opt, 1 for --exec); in --fleet
 # mode it is the simulated machine count (default 96) and the rest goes
 # to pcc-fleetsim.
 set -eu
@@ -115,6 +125,28 @@ if [ "${1:-}" = "--xip" ]; then
     done
   done
   echo "xip soak passed: $ITERS iteration(s) each under ASan and TSan"
+  exit 0
+fi
+
+if [ "${1:-}" = "--exec" ]; then
+  shift
+  ITERS="${1:-1}"
+  [ $# -gt 0 ] && shift
+  for SAN in address undefined; do
+    SOAK="$ROOT/build-$SAN"
+    cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
+    cmake --build "$SOAK" -j --target vm_test --target dbi_test \
+      --target property_test --target xip_test --target opt_tier_test
+    I=1
+    while [ "$I" -le "$ITERS" ]; do
+      echo "== exec soak ($SAN) iteration $I/$ITERS =="
+      for T in vm_test dbi_test property_test xip_test opt_tier_test; do
+        UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "$SOAK/tests/$T"
+      done
+      I=$((I + 1))
+    done
+  done
+  echo "exec soak passed: $ITERS iteration(s) each under ASan and UBSan"
   exit 0
 fi
 

@@ -69,6 +69,16 @@ struct PersistedPayload {
   bool Xip = false;
 };
 
+/// One entry of a body's host-side Nop-skip table: one per body slot,
+/// plus a sentinel for the slot past the end.
+struct NopSkipEntry {
+  /// First slot at or after this one that is not a Nop (the body size
+  /// when there is none).
+  uint32_t NextLive = 0;
+  /// Nop slots before this one.
+  uint32_t NopsBefore = 0;
+};
+
 /// A compiled trace resident in the code cache.
 class TranslatedTrace {
 public:
@@ -113,6 +123,16 @@ public:
     assert(InPlaceBody && "null in-place body");
     BorrowedBody = InPlaceBody;
     Materialized = true;
+  }
+
+  /// The Nop-skip table of the materialized body (GuestInstCount + 1
+  /// entries), built on first call. Host-side only: the executor uses
+  /// it to jump over the Nop slots of promoted bodies and still count
+  /// them exactly; it is never persisted.
+  std::span<const NopSkipEntry> nopSkipTable() {
+    if (NopSkip.empty())
+      buildNopSkipTable();
+    return NopSkip;
   }
 
   /// True when body() views a borrowed mapping rather than owned memory.
@@ -184,6 +204,8 @@ public:
   }
 
 private:
+  void buildNopSkipTable();
+
   uint32_t GuestStart;
   uint32_t GuestInstCount;
   uint32_t PoolOffset;
@@ -195,6 +217,8 @@ private:
   std::vector<isa::Instruction> Body;
   /// Non-null when the body executes in place from a borrowed mapping.
   const isa::Instruction *BorrowedBody = nullptr;
+  /// Built by nopSkipTable(); empty until then.
+  std::vector<NopSkipEntry> NopSkip;
   std::vector<std::pair<TranslatedTrace *, uint32_t>> Incoming;
   uint64_t ExecCount = 0;
   uint32_t PersistedHeat = 0;

@@ -329,22 +329,24 @@ vm::RunResult Engine::run() {
       Pending = PendingLink();
     }
 
-    Status MatStatus = ensureMaterialized(Current);
-    if (!MatStatus.ok()) {
-      if (Current->isFromPersistentCache() &&
-          !Current->isMaterialized()) {
-        // Corrupt persisted payload caught at first use (lazy CRC):
-        // drop just this trace and retranslate it from guest memory.
-        // The run continues; only the damaged translation is lost.
-        Pc = Current->guestStart();
-        Cache.removeTracesInRange(Pc, 1);
-        ++Stats.TracesDroppedCorrupt;
-        Current = nullptr;
-        Pending = PendingLink();
-        continue;
+    if (!Current->isMaterialized()) {
+      Status MatStatus = ensureMaterialized(Current);
+      if (!MatStatus.ok()) {
+        if (Current->isFromPersistentCache() &&
+            !Current->isMaterialized()) {
+          // Corrupt persisted payload caught at first use (lazy CRC):
+          // drop just this trace and retranslate it from guest memory.
+          // The run continues; only the damaged translation is lost.
+          Pc = Current->guestStart();
+          Cache.removeTracesInRange(Pc, 1);
+          ++Stats.TracesDroppedCorrupt;
+          Current = nullptr;
+          Pending = PendingLink();
+          continue;
+        }
+        Result.Error = MatStatus;
+        break;
       }
-      Result.Error = MatStatus;
-      break;
     }
     Current->countExecution();
     ++Stats.TraceExecutions;
@@ -356,23 +358,46 @@ vm::RunResult Engine::run() {
       Stats.FirstTraceReadyCycles = Stats.totalCycles();
 
     const std::span<const Instruction> Body = Current->body();
+    const uint32_t BodySize = static_cast<uint32_t>(Body.size());
     const uint32_t TraceStart = Current->guestStart();
     // Promoted (gen >= 1) bodies earn the modeled execution discount for
     // their Nop slots: the optimizer proved the slot's work redundant,
     // so a real backend would not emit it. Gen-0 bodies get no discount
     // even when flag elision produced Nops, keeping unpromoted runs
-    // bit-identical to the pre-opt-tier engine.
-    const bool Promoted = Current->optGen() > 0;
+    // bit-identical to the pre-opt-tier engine. The skip table lets the
+    // host skip those slots too, and counts them exactly.
+    const NopSkipEntry *Skip =
+        Current->optGen() > 0 ? Current->nopSkipTable().data() : nullptr;
     TranslatedTrace *Next = nullptr;
     vm::CpuState &Cpu = Threads.current().Cpu;
 
-    // The trace body loop, stamped out twice: instrumented and not.
-    // The null-tool baseline must not pay the three Spec branches per
-    // guest instruction, so the tool dispatch is decided once per
-    // trace and `if constexpr` deletes the checks from the fast copy.
-    auto runBody = [&](auto WithToolTag) {
+    // Leaves the trace through linkable \p Exit: straight into the
+    // linked successor, or to the dispatcher, which links it.
+    auto leaveThrough = [&](TraceExit *Exit) {
+      assert(isLinkableExit(Exit->Kind) && "unexpected exit kind");
+      if (Exit->Link) {
+        Next = Exit->Link;
+        return;
+      }
+      Pc = Exit->Target;
+      Pending = PendingLink{
+          Current, static_cast<uint32_t>(Exit - Current->exits().data()),
+          Cache.modificationGeneration()};
+    };
+
+    // The trace body loop, stamped out three times: instrumented,
+    // plain, and plain with Nop skipping. The null-tool baseline must
+    // not pay the three Spec branches per guest instruction, so the
+    // tool dispatch is decided once per trace and `if constexpr`
+    // deletes the checks from the fast copies. Tools observe every
+    // slot, Nops included, so only the plain loop skips. Returns the
+    // number of body slots executed: every slot through the exit slot,
+    // or those before a faulting one.
+    auto runBody = [&](auto WithToolTag, auto SkipNopsTag) -> uint32_t {
       constexpr bool WithTool = decltype(WithToolTag)::value;
-      for (uint32_t Index = 0; Index != Body.size(); ++Index) {
+      constexpr bool SkipNops = decltype(SkipNopsTag)::value;
+      uint32_t Index = SkipNops ? Skip[0].NextLive : 0;
+      while (Index != BodySize) {
         const Instruction &Inst = Body[Index];
         const uint32_t InstPc =
             TraceStart + Index * isa::InstructionSize;
@@ -395,46 +420,13 @@ vm::RunResult Engine::run() {
           }
         }
 
-        auto Step =
-            vm::executeInstruction(Inst, InstPc, Cpu, Space, Env);
-        if (!Step) {
-          Result.Error = Step.status();
-          Done = true;
-          break;
-        }
-        ++Stats.GuestInstsExecuted;
-        if (Promoted && Inst.Op == Opcode::Nop)
-          ++Stats.OptNopsExecuted;
-
-        if (Step->Kind == vm::StepKind::Halted) {
-          Done = true;
-          break;
-        }
-
-        if (Step->Kind == vm::StepKind::Syscall) {
-          // Control leaves the code cache for the emulation unit; the
-          // syscall exit is never linked. This is also the cooperative
-          // thread-switch point — the same point the interpreter
-          // switches at, so interleavings match across engines.
-          Stats.EmulationCycles += Costs.SyscallEmulationCycles;
-          auto Alive = Threads.afterSyscall(Env, Space, Step->NextPc);
-          if (!Alive) {
-            Result.Error = Alive.status();
-            Done = true;
-            break;
-          }
-          if (!*Alive) {
-            Done = true; // Every thread exited: program ends, code 0.
-            break;
-          }
-          Pc = Threads.current().Cpu.Pc;
-          break;
-        }
-
-        if (Step->Kind == vm::StepKind::Sequential) {
+        const vm::StepResult Step =
+            vm::step(Inst, InstPc, Cpu, Space, Env);
+        switch (Step.Kind) {
+        case vm::StepKind::Sequential:
           if constexpr (WithTool) {
             if (isa::isConditionalBranch(Inst.Op) && Spec.BasicBlocks &&
-                Index + 1 != Body.size()) {
+                Index + 1 != BodySize) {
               // Fell through into the next basic block of this trace.
               uint32_t NextBlockPc = InstPc + isa::InstructionSize;
               ClientTool->onBasicBlock(NextBlockPc,
@@ -442,55 +434,77 @@ vm::RunResult Engine::run() {
               Stats.ToolCycles += Costs.AnalysisCyclesPerBlockCall;
             }
           }
-          if (Index + 1 != Body.size())
-            continue;
-          // Instruction-limit cutoff: fall-through exit.
-          TraceExit *Exit = &Current->finalExit();
-          assert(Exit->Kind == ExitKind::FallThrough &&
-                 "missing fall-through exit");
-          if (Exit->Link) {
-            Next = Exit->Link;
-            break;
+          Index = SkipNops ? Skip[Index + 1].NextLive : Index + 1;
+          continue;
+
+        case vm::StepKind::Control: {
+          TraceExit *Exit = isa::isConditionalBranch(Inst.Op)
+                                ? Current->findBranchExit(Index)
+                                : &Current->finalExit();
+          assert(Exit && "control transfer without an exit record");
+          if (Exit->Kind == ExitKind::Indirect) {
+            // Inline indirect-target lookup; a hit stays in the cache, a
+            // miss surfaces through the dispatcher.
+            Stats.IndirectCycles += Costs.IndirectLookupCycles;
+            Pc = Step.NextPc;
+            Next = Cache.lookup(Pc);
+            return Index + 1;
           }
-          Pc = Exit->Target;
-          Pending = PendingLink{
-              Current,
-              static_cast<uint32_t>(Exit - Current->exits().data()),
-              Cache.modificationGeneration()};
-          break;
+          assert(Exit->Target == Step.NextPc && "exit target mismatch");
+          leaveThrough(Exit);
+          return Index + 1;
         }
 
-        assert(Step->Kind == vm::StepKind::Control);
-        TraceExit *Exit = isa::isConditionalBranch(Inst.Op)
-                              ? Current->findBranchExit(Index)
-                              : &Current->finalExit();
-        assert(Exit && "control transfer without an exit record");
-        if (Exit->Kind == ExitKind::Indirect) {
-          // Inline indirect-target lookup; a hit stays in the cache, a
-          // miss surfaces through the dispatcher.
-          Stats.IndirectCycles += Costs.IndirectLookupCycles;
-          Pc = Step->NextPc;
-          Next = Cache.lookup(Pc);
-          break;
+        case vm::StepKind::Syscall: {
+          // Control leaves the code cache for the emulation unit; the
+          // syscall exit is never linked. This is also the cooperative
+          // thread-switch point — the same point the interpreter
+          // switches at, so interleavings match across engines.
+          Stats.EmulationCycles += Costs.SyscallEmulationCycles;
+          auto Alive = Threads.afterSyscall(Env, Space, Step.NextPc);
+          if (!Alive) {
+            Result.Error = Alive.status();
+            Done = true;
+          } else if (!*Alive) {
+            Done = true; // Every thread exited: program ends, code 0.
+          } else {
+            Pc = Threads.current().Cpu.Pc;
+          }
+          return Index + 1;
         }
-        assert(isLinkableExit(Exit->Kind) && "unexpected exit kind");
-        assert(Exit->Target == Step->NextPc && "exit target mismatch");
-        if (Exit->Link) {
-          Next = Exit->Link;
-          break;
+
+        case vm::StepKind::Halted:
+          Done = true;
+          return Index + 1;
+
+        case vm::StepKind::Faulted:
+          Result.Error = vm::faultStatus(Inst, InstPc, Step);
+          Done = true;
+          return Index;
         }
-        Pc = Exit->Target;
-        Pending = PendingLink{
-            Current,
-            static_cast<uint32_t>(Exit - Current->exits().data()),
-            Cache.modificationGeneration()};
-        break;
       }
+      // Ran off the end of the body (its last slots may be skipped
+      // Nops): the instruction-limit cutoff's fall-through exit.
+      TraceExit *Exit = &Current->finalExit();
+      assert(Exit->Kind == ExitKind::FallThrough &&
+             "missing fall-through exit");
+      leaveThrough(Exit);
+      return BodySize;
     };
+    uint32_t Executed = 0;
     if (Spec.BasicBlocks || Spec.Instructions || Spec.MemoryAccesses)
-      runBody(std::true_type{});
+      Executed = runBody(std::true_type{}, std::false_type{});
+    else if (Skip)
+      Executed = runBody(std::false_type{}, std::true_type{});
     else
-      runBody(std::false_type{});
+      Executed = runBody(std::false_type{}, std::false_type{});
+
+    // Account the trace's guest work once, from its exit slot: the
+    // instruction limit and the compile timeline read these counters at
+    // the dispatcher, which runs only between traces.
+    Stats.GuestInstsExecuted += Executed;
+    if (Skip)
+      Stats.OptNopsExecuted += Skip[Executed].NopsBefore;
 
     Current = Next;
   }

@@ -14,20 +14,20 @@ using binary::PageSize;
 static uint32_t pageIndex(uint32_t Addr) { return Addr / PageSize; }
 static uint32_t pageOffset(uint32_t Addr) { return Addr % PageSize; }
 
-static Status faultAt(uint32_t Addr) {
+Status pcc::loader::unmappedAccess(uint32_t Addr) {
   return Status::error(ErrorCode::GuestFault,
                        formatString("access to unmapped address 0x%x",
                                     Addr));
 }
 
-const AddressSpace::Page *AddressSpace::findPage(uint32_t Addr) const {
-  auto It = Pages.find(pageIndex(Addr));
-  return It == Pages.end() ? nullptr : It->second.get();
-}
-
-AddressSpace::Page *AddressSpace::findPage(uint32_t Addr) {
-  auto It = Pages.find(pageIndex(Addr));
-  return It == Pages.end() ? nullptr : It->second.get();
+uint8_t *AddressSpace::pageDataSlow(uint32_t Index) const {
+  auto It = Pages.find(Index);
+  if (It == Pages.end())
+    return nullptr; // Never cached: the page may be mapped later.
+  RecentPage &Slot = Recent[recentSlot(Index)];
+  Slot.Index = Index;
+  Slot.Data = It->second->data();
+  return Slot.Data;
 }
 
 Status AddressSpace::mapRegion(uint32_t Addr, uint32_t Size) {
@@ -52,60 +52,54 @@ Status AddressSpace::mapRegion(uint32_t Addr, uint32_t Size) {
 }
 
 bool AddressSpace::isMapped(uint32_t Addr) const {
-  return findPage(Addr) != nullptr;
+  return pageData(pageIndex(Addr)) != nullptr;
 }
 
 ErrorOr<uint8_t> AddressSpace::read8(uint32_t Addr) const {
-  const Page *P = findPage(Addr);
-  if (!P)
-    return faultAt(Addr);
-  return (*P)[pageOffset(Addr)];
-}
-
-ErrorOr<uint32_t> AddressSpace::read32(uint32_t Addr) const {
-  // Fast path: within one page.
-  const Page *P = findPage(Addr);
-  if (P && pageOffset(Addr) + 4 <= PageSize) {
-    const uint8_t *Bytes = P->data() + pageOffset(Addr);
-    return static_cast<uint32_t>(Bytes[0]) |
-           (static_cast<uint32_t>(Bytes[1]) << 8) |
-           (static_cast<uint32_t>(Bytes[2]) << 16) |
-           (static_cast<uint32_t>(Bytes[3]) << 24);
-  }
-  uint32_t Value = 0;
-  for (unsigned I = 0; I != 4; ++I) {
-    auto Byte = read8(Addr + I);
-    if (!Byte)
-      return Byte.status();
-    Value |= static_cast<uint32_t>(*Byte) << (8 * I);
-  }
-  return Value;
+  const uint8_t *Data = pageData(pageIndex(Addr));
+  if (!Data)
+    return unmappedAccess(Addr);
+  return Data[pageOffset(Addr)];
 }
 
 Status AddressSpace::write8(uint32_t Addr, uint8_t Value) {
-  Page *P = findPage(Addr);
-  if (!P)
-    return faultAt(Addr);
-  (*P)[pageOffset(Addr)] = Value;
+  uint8_t *Data = pageData(pageIndex(Addr));
+  if (!Data)
+    return unmappedAccess(Addr);
+  Data[pageOffset(Addr)] = Value;
   return Status::success();
 }
 
-Status AddressSpace::write32(uint32_t Addr, uint32_t Value) {
-  Page *P = findPage(Addr);
-  if (P && pageOffset(Addr) + 4 <= PageSize) {
-    uint8_t *Bytes = P->data() + pageOffset(Addr);
-    Bytes[0] = static_cast<uint8_t>(Value);
-    Bytes[1] = static_cast<uint8_t>(Value >> 8);
-    Bytes[2] = static_cast<uint8_t>(Value >> 16);
-    Bytes[3] = static_cast<uint8_t>(Value >> 24);
-    return Status::success();
-  }
+// The byte-wise slow paths: page-spanning or unmapped word accesses.
+// Bytes are visited in address order, so the fault names the first
+// unmapped byte and a store has written every byte before it.
+
+bool AddressSpace::load32Slow(uint32_t Addr, uint32_t &Value,
+                              uint32_t &FaultAddr) const {
+  uint32_t Result = 0;
   for (unsigned I = 0; I != 4; ++I) {
-    Status S = write8(Addr + I, static_cast<uint8_t>(Value >> (8 * I)));
-    if (!S.ok())
-      return S;
+    const uint8_t *Data = pageData(pageIndex(Addr + I));
+    if (!Data) {
+      FaultAddr = Addr + I;
+      return false;
+    }
+    Result |= static_cast<uint32_t>(Data[pageOffset(Addr + I)]) << (8 * I);
   }
-  return Status::success();
+  Value = Result;
+  return true;
+}
+
+bool AddressSpace::store32Slow(uint32_t Addr, uint32_t Value,
+                               uint32_t &FaultAddr) {
+  for (unsigned I = 0; I != 4; ++I) {
+    uint8_t *Data = pageData(pageIndex(Addr + I));
+    if (!Data) {
+      FaultAddr = Addr + I;
+      return false;
+    }
+    Data[pageOffset(Addr + I)] = static_cast<uint8_t>(Value >> (8 * I));
+  }
+  return true;
 }
 
 Status AddressSpace::writeBytes(uint32_t Addr, const void *Data,
@@ -113,12 +107,12 @@ Status AddressSpace::writeBytes(uint32_t Addr, const void *Data,
   const auto *Src = static_cast<const uint8_t *>(Data);
   uint32_t Done = 0;
   while (Done != Size) {
-    Page *P = findPage(Addr + Done);
-    if (!P)
-      return faultAt(Addr + Done);
+    uint8_t *Page = pageData(pageIndex(Addr + Done));
+    if (!Page)
+      return unmappedAccess(Addr + Done);
     uint32_t Offset = pageOffset(Addr + Done);
     uint32_t Chunk = std::min(Size - Done, PageSize - Offset);
-    std::copy(Src + Done, Src + Done + Chunk, P->data() + Offset);
+    std::copy(Src + Done, Src + Done + Chunk, Page + Offset);
     Done += Chunk;
   }
   return Status::success();
@@ -129,20 +123,15 @@ Status AddressSpace::readBytes(uint32_t Addr, void *Out,
   auto *Dst = static_cast<uint8_t *>(Out);
   uint32_t Done = 0;
   while (Done != Size) {
-    const Page *P = findPage(Addr + Done);
-    if (!P)
-      return faultAt(Addr + Done);
+    const uint8_t *Page = pageData(pageIndex(Addr + Done));
+    if (!Page)
+      return unmappedAccess(Addr + Done);
     uint32_t Offset = pageOffset(Addr + Done);
     uint32_t Chunk = std::min(Size - Done, PageSize - Offset);
-    std::copy(P->data() + Offset, P->data() + Offset + Chunk, Dst + Done);
+    std::copy(Page + Offset, Page + Offset + Chunk, Dst + Done);
     Done += Chunk;
   }
   return Status::success();
-}
-
-Status AddressSpace::fetchInstructionBytes(uint32_t Addr,
-                                           uint8_t *Out) const {
-  return readBytes(Addr, Out, isa::InstructionSize);
 }
 
 uint64_t AddressSpace::contentHash() const {

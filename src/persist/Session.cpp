@@ -9,6 +9,7 @@
 #include "persist/RecordingHooks.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cassert>
@@ -88,6 +89,17 @@ fetchGuestSource(const loader::AddressSpace &Space, uint32_t Start,
     Out.push_back(*Inst);
   }
   return Out;
+}
+
+std::string pcc::persist::describePrime(const PrimeResult &R) {
+  if (!R.RejectReason.empty())
+    return "rejected (" + R.RejectReason + ")";
+  if (!R.CacheFound)
+    return "not found";
+  return formatString("found (%u traces installed, %u skipped, %u modules "
+                      "invalidated)",
+                      R.TracesInstalled, R.TracesSkipped,
+                      R.ModulesInvalidated);
 }
 
 ErrorOr<StoredCache>

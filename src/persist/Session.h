@@ -193,6 +193,11 @@ struct PrimeResult {
   uint64_t PayloadBytesCopied = 0;
 };
 
+/// One-line outcome of a prime for operators: "found (N traces
+/// installed, M skipped, K modules invalidated)", "rejected (<reason>)"
+/// when a cache was located but refused, or "not found".
+std::string describePrime(const PrimeResult &R);
+
 /// Brackets one engine run with persistent-cache reuse and generation.
 class PersistentSession {
 public:

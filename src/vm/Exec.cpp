@@ -38,141 +38,11 @@ void SyscallEnv::handle(uint32_t Number, CpuState &Cpu) {
   ExitCode = 127;
 }
 
-ErrorOr<StepResult> pcc::vm::executeInstruction(
-    const Instruction &Inst, uint32_t Pc, CpuState &Cpu,
-    loader::AddressSpace &Space, SyscallEnv &Env) {
-  const uint32_t FallThrough = Pc + isa::InstructionSize;
-  auto &Regs = Cpu.Regs;
-  uint32_t A = Regs[Inst.Rs1];
-  uint32_t B = Regs[Inst.Rs2];
-
-  switch (Inst.Op) {
-  case Opcode::Nop:
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Halt:
-    return StepResult{StepKind::Halted, Pc};
-
-  case Opcode::Add:
-    Regs[Inst.Rd] = A + B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Sub:
-    Regs[Inst.Rd] = A - B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Mul:
-    Regs[Inst.Rd] = A * B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Divu:
-    Regs[Inst.Rd] = B == 0 ? 0 : A / B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::And:
-    Regs[Inst.Rd] = A & B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Or:
-    Regs[Inst.Rd] = A | B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Xor:
-    Regs[Inst.Rd] = A ^ B;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Shl:
-    Regs[Inst.Rd] = A << (B & 31);
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Shr:
-    Regs[Inst.Rd] = A >> (B & 31);
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Sltu:
-    Regs[Inst.Rd] = A < B ? 1 : 0;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Seq:
-    Regs[Inst.Rd] = A == B ? 1 : 0;
-    return StepResult{StepKind::Sequential, FallThrough};
-
-  case Opcode::Addi:
-    Regs[Inst.Rd] = A + Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Muli:
-    Regs[Inst.Rd] = A * Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Andi:
-    Regs[Inst.Rd] = A & Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Ori:
-    Regs[Inst.Rd] = A | Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Xori:
-    Regs[Inst.Rd] = A ^ Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Shli:
-    Regs[Inst.Rd] = A << (Inst.Imm & 31);
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Shri:
-    Regs[Inst.Rd] = A >> (Inst.Imm & 31);
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Sltiu:
-    Regs[Inst.Rd] = A < Inst.Imm ? 1 : 0;
-    return StepResult{StepKind::Sequential, FallThrough};
-  case Opcode::Ldi:
-    Regs[Inst.Rd] = Inst.Imm;
-    return StepResult{StepKind::Sequential, FallThrough};
-
-  case Opcode::Ld: {
-    auto Value = Space.read32(A + Inst.Imm);
-    if (!Value)
-      return Value.status();
-    Regs[Inst.Rd] = *Value;
-    return StepResult{StepKind::Sequential, FallThrough};
-  }
-  case Opcode::St: {
-    Status S = Space.write32(A + Inst.Imm, B);
-    if (!S.ok())
-      return S;
-    return StepResult{StepKind::Sequential, FallThrough};
-  }
-
-  case Opcode::Beq:
-    return StepResult{A == B ? StepKind::Control : StepKind::Sequential,
-                      A == B ? Inst.Imm : FallThrough};
-  case Opcode::Bne:
-    return StepResult{A != B ? StepKind::Control : StepKind::Sequential,
-                      A != B ? Inst.Imm : FallThrough};
-  case Opcode::Bltu:
-    return StepResult{A < B ? StepKind::Control : StepKind::Sequential,
-                      A < B ? Inst.Imm : FallThrough};
-  case Opcode::Bgeu:
-    return StepResult{A >= B ? StepKind::Control : StepKind::Sequential,
-                      A >= B ? Inst.Imm : FallThrough};
-
-  case Opcode::Jmp:
-    return StepResult{StepKind::Control, Inst.Imm};
-  case Opcode::Jr:
-    return StepResult{StepKind::Control, A};
-
-  case Opcode::Call:
-  case Opcode::Callr: {
-    uint32_t NewSp = Cpu.sp() - 4;
-    Status S = Space.write32(NewSp, FallThrough);
-    if (!S.ok())
-      return S;
-    Cpu.setSp(NewSp);
-    return StepResult{StepKind::Control,
-                      Inst.Op == Opcode::Call ? Inst.Imm : A};
-  }
-  case Opcode::Ret: {
-    auto ReturnAddr = Space.read32(Cpu.sp());
-    if (!ReturnAddr)
-      return ReturnAddr.status();
-    Cpu.setSp(Cpu.sp() + 4);
-    return StepResult{StepKind::Control, *ReturnAddr};
-  }
-
-  case Opcode::Sys:
-    Env.handle(Inst.Imm, Cpu);
-    if (Env.Exited)
-      return StepResult{StepKind::Halted, Pc};
-    return StepResult{StepKind::Syscall, FallThrough};
-
-  case Opcode::NumOpcodes:
-    break;
-  }
-  return Status::error(ErrorCode::GuestFault,
-                       formatString("invalid opcode at 0x%x", Pc));
+Status pcc::vm::faultStatus(const Instruction &Inst, uint32_t Pc,
+                            StepResult Fault) {
+  assert(Fault.Kind == StepKind::Faulted && "not a faulted step");
+  if (Inst.Op >= Opcode::NumOpcodes)
+    return Status::error(ErrorCode::GuestFault,
+                         formatString("invalid opcode at 0x%x", Pc));
+  return loader::unmappedAccess(Fault.NextPc);
 }

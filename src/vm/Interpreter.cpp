@@ -35,27 +35,26 @@ RunResult Interpreter::run(CpuState Cpu, const RunLimits &Limits,
       Result.Error = Inst.status();
       break;
     }
-    auto Step = executeInstruction(*Inst, Current.Pc, Current, Space,
-                                   Env);
-    if (!Step) {
-      Result.Error = Step.status();
+    const StepResult Step = step(*Inst, Current.Pc, Current, Space, Env);
+    if (Step.Kind == StepKind::Faulted) {
+      Result.Error = faultStatus(*Inst, Current.Pc, Step);
       break;
     }
     ++Result.InstructionsExecuted;
     Result.Cycles += Costs.CyclesPerInstruction;
 
-    if (Step->Kind == StepKind::Halted) {
+    if (Step.Kind == StepKind::Halted) {
       if (Env.Exited)
         Result.Cycles += Costs.CyclesPerSyscall; // The Exit syscall.
       return finish(Env.Exited ? Env.ExitCode : 0);
     }
 
-    if (Step->Kind == StepKind::Syscall) {
+    if (Step.Kind == StepKind::Syscall) {
       // Context switches happen only here; the DBI engine switches at
       // the same points (syscalls terminate traces), keeping thread
       // interleavings identical across engines.
       Result.Cycles += Costs.CyclesPerSyscall;
-      auto Alive = Threads.afterSyscall(Env, Space, Step->NextPc);
+      auto Alive = Threads.afterSyscall(Env, Space, Step.NextPc);
       if (!Alive) {
         Result.Error = Alive.status();
         break;
@@ -64,7 +63,7 @@ RunResult Interpreter::run(CpuState Cpu, const RunLimits &Limits,
         return finish(0); // Every thread exited.
       continue;
     }
-    Current.Pc = Step->NextPc;
+    Current.Pc = Step.NextPc;
   }
 
   if (Result.Error.ok())

@@ -478,3 +478,226 @@ TEST(Engine, GranularEvictionOutperformsFlushUnderPressure) {
   EXPECT_LT(EvictRun->Stats.TracesCompiled,
             FlushRun->Stats.TracesCompiled);
 }
+
+// Nop skipping in promoted bodies. The executor jumps over the Nop
+// slots of OptGen >= 1 bodies and accounts guest work once per trace
+// exit; the counters must still equal a walk of every slot. The guest
+// programs below contain real Nops, every trace they run is compiled
+// up front and promoted by hand, so each translated body equals its
+// guest code and the native instruction stream is the slot stream.
+
+namespace {
+
+constexpr uint32_t ProgBase = 0x00400000; // Executable load base.
+
+std::shared_ptr<binary::Module>
+programModule(const std::vector<Instruction> &Insts) {
+  auto Mod = std::make_shared<binary::Module>(
+      "prog", "/bin/prog", binary::ModuleKind::Executable);
+  Mod->setInstructions(Insts);
+  Mod->setBssSize(binary::PageSize);
+  return Mod;
+}
+
+Instruction sysCall(vm::SyscallNumber N) {
+  return makeSys(static_cast<uint32_t>(N));
+}
+
+/// Guest instructions and Nops completed by a one-instruction-at-a-time
+/// walk (a faulting instruction does not complete).
+struct SlotCounts {
+  uint64_t Insts = 0;
+  uint64_t Nops = 0;
+};
+
+SlotCounts referenceWalk(const std::vector<Instruction> &Insts) {
+  loader::ModuleRegistry Registry;
+  auto M = vm::Machine::create(programModule(Insts), Registry);
+  EXPECT_TRUE(M.ok());
+  vm::CpuState Cpu = M->initialCpuState();
+  vm::SyscallEnv Env;
+  SlotCounts Counts;
+  for (;;) {
+    uint8_t Raw[InstructionSize];
+    if (!M->space().fetchInstructionBytes(Cpu.Pc, Raw).ok())
+      break;
+    auto Inst = Instruction::decode(Raw);
+    EXPECT_TRUE(Inst.ok());
+    vm::StepResult Step = vm::step(*Inst, Cpu.Pc, Cpu, M->space(), Env);
+    if (Step.Kind == vm::StepKind::Faulted)
+      break;
+    ++Counts.Insts;
+    Counts.Nops += Inst->Op == Opcode::Nop ? 1 : 0;
+    if (Step.Kind == vm::StepKind::Halted)
+      break;
+    Cpu.Pc = Step.NextPc; // Single-threaded: a syscall falls through.
+  }
+  return Counts;
+}
+
+struct PromotedRun {
+  vm::RunResult Run;
+  EngineStats Stats;
+  uint64_t ExpectedExecCycles = 0;
+};
+
+/// Runs \p Insts under the engine with every trace the program executes
+/// compiled beforehand and promoted to generation 1.
+PromotedRun runPromoted(const std::vector<Instruction> &Insts,
+                        Tool *ClientTool,
+                        const SlotCounts &Reference) {
+  loader::ModuleRegistry Registry;
+  std::vector<uint32_t> Starts;
+  {
+    auto Discover = vm::Machine::create(programModule(Insts), Registry);
+    EXPECT_TRUE(Discover.ok());
+    Engine E(*Discover, nullptr);
+    (void)E.run();
+    for (const auto &T : E.cache().traces())
+      Starts.push_back(T->guestStart());
+  }
+  auto M = vm::Machine::create(programModule(Insts), Registry);
+  EXPECT_TRUE(M.ok());
+  Engine E(*M, ClientTool);
+  Compiler Precompile(M->space(), E.cache(), E.options().Costs, E.spec(),
+                      E.options().MaxTraceInsts);
+  EngineStats Scratch;
+  for (uint32_t Start : Starts) {
+    auto T = Precompile.compile(Start, Scratch);
+    EXPECT_TRUE(T.ok());
+    if (T.ok())
+      (*T)->setOptGen(1);
+  }
+  PromotedRun Out;
+  Out.Run = E.run();
+  Out.Stats = E.stats();
+  Out.ExpectedExecCycles =
+      E.options().Costs.translatedExecCycles(Reference.Insts -
+                                             Reference.Nops);
+  EXPECT_EQ(Out.Stats.TracesCompiled, 0u) << "a trace was left unpromoted";
+  return Out;
+}
+
+struct NopProgram {
+  const char *Name;
+  std::vector<Instruction> Insts;
+  bool Faults = false;
+};
+
+std::vector<NopProgram> nopPrograms() {
+  const Instruction Exit0[] = {makeLdi(1, 0),
+                               sysCall(vm::SyscallNumber::Exit)};
+  std::vector<NopProgram> Programs;
+
+  Programs.push_back({"leading nops",
+                      {makeNop(), makeNop(), makeNop(), makeLdi(1, 7),
+                       sysCall(vm::SyscallNumber::WriteWord), Exit0[0],
+                       Exit0[1]}});
+
+  // 13 live slots then 3 Nops: the 16-slot trace ends in Nops and
+  // leaves through its fall-through exit, three times around a loop.
+  NopProgram Trailing{"trailing nops", {makeLdi(5, 3)}};
+  for (int I = 0; I != 12; ++I)
+    Trailing.Insts.push_back(makeAluImm(Opcode::Addi, 2, 2, 1));
+  Trailing.Insts.insert(Trailing.Insts.end(),
+                        {makeNop(), makeNop(), makeNop(),
+                         makeAluImm(Opcode::Addi, 5, 5, 0xffffffffu),
+                         makeBranch(Opcode::Bne, 5, 0, ProgBase + 8),
+                         makeAluImm(Opcode::Addi, 1, 2, 0),
+                         sysCall(vm::SyscallNumber::WriteWord), Exit0[0],
+                         Exit0[1]});
+  Programs.push_back(std::move(Trailing));
+
+  NopProgram AllNops{"all-nop body", std::vector<Instruction>(20, makeNop())};
+  AllNops.Insts.insert(AllNops.Insts.end(), {Exit0[0], Exit0[1]});
+  Programs.push_back(std::move(AllNops));
+
+  // A loop whose back edge is taken right after a Nop run.
+  Programs.push_back(
+      {"branch after nops",
+       {makeLdi(1, 10), makeAluImm(Opcode::Addi, 1, 1, 0xffffffffu),
+        makeNop(), makeNop(), makeNop(),
+        makeBranch(Opcode::Bne, 1, 0, ProgBase + 8), makeNop(),
+        makeLdi(1, 42), sysCall(vm::SyscallNumber::WriteWord), Exit0[0],
+        Exit0[1]}});
+
+  Programs.push_back({"fault after nops",
+                      {makeLdi(1, 5), sysCall(vm::SyscallNumber::WriteWord),
+                       makeLdi(2, 0x90000000), makeNop(), makeNop(),
+                       makeLoad(3, 2, 0), makeNop(), makeHalt()},
+                      /*Faults=*/true});
+
+  Programs.push_back({"syscall in promoted body",
+                      {makeNop(), makeLdi(1, 9), makeNop(),
+                       sysCall(vm::SyscallNumber::WriteWord), makeNop(),
+                       makeNop(), sysCall(vm::SyscallNumber::Yield),
+                       makeNop(), Exit0[0], Exit0[1]}});
+  return Programs;
+}
+
+} // namespace
+
+TEST(NopSkip, PromotedBodiesCountEverySlot) {
+  for (const NopProgram &P : nopPrograms()) {
+    SCOPED_TRACE(P.Name);
+    SlotCounts Reference = referenceWalk(P.Insts);
+    ASSERT_GT(Reference.Nops, 0u);
+
+    PromotedRun Plain = runPromoted(P.Insts, nullptr, Reference);
+    EXPECT_EQ(Plain.Stats.GuestInstsExecuted, Reference.Insts);
+    EXPECT_EQ(Plain.Stats.OptNopsExecuted, Reference.Nops);
+    EXPECT_EQ(Plain.Stats.ExecCycles, Plain.ExpectedExecCycles);
+    EXPECT_EQ(Plain.Run.InstructionsExecuted, Reference.Insts);
+
+    // The instrumented loop walks every slot instead of skipping.
+    InstructionCounterTool Counter;
+    PromotedRun Counted = runPromoted(P.Insts, &Counter, Reference);
+    EXPECT_EQ(Counted.Stats.GuestInstsExecuted, Reference.Insts);
+    EXPECT_EQ(Counted.Stats.OptNopsExecuted, Reference.Nops);
+    EXPECT_EQ(Counted.Stats.ExecCycles, Plain.Stats.ExecCycles);
+    const uint64_t Faulting = P.Faults ? 1 : 0;
+    EXPECT_EQ(Counter.count(), Reference.Insts + Faulting)
+        << "the tool sees every slot, Nops and a faulting one included";
+
+    loader::ModuleRegistry Registry;
+    auto Native = vm::Machine::create(programModule(P.Insts), Registry);
+    ASSERT_TRUE(Native.ok());
+    vm::RunResult Expected = Native->runNative();
+    if (P.Faults) {
+      ASSERT_FALSE(Plain.Run.ok());
+      EXPECT_EQ(Plain.Run.Error.toString(), Expected.Error.toString());
+      EXPECT_EQ(Counted.Run.Error.toString(), Expected.Error.toString());
+      EXPECT_EQ(Plain.Run.WordLog, Expected.WordLog);
+    } else {
+      EXPECT_TRUE(Expected.observablyEquals(Plain.Run));
+      EXPECT_TRUE(Expected.observablyEquals(Counted.Run));
+    }
+  }
+}
+
+TEST(NopSkip, UnpromotedBodiesEarnNoDiscount) {
+  // The same Nops in generation-0 bodies are guest work like any other.
+  std::vector<Instruction> P = {makeNop(), makeNop(), makeLdi(1, 0),
+                                sysCall(vm::SyscallNumber::Exit)};
+  loader::ModuleRegistry Registry;
+  auto M = vm::Machine::create(programModule(P), Registry);
+  ASSERT_TRUE(M.ok());
+  Engine E(*M, nullptr);
+  ASSERT_TRUE(E.run().ok());
+  EXPECT_EQ(E.stats().GuestInstsExecuted, 4u);
+  EXPECT_EQ(E.stats().OptNopsExecuted, 0u);
+  EXPECT_EQ(E.stats().ExecCycles, E.options().Costs.translatedExecCycles(4));
+}
+
+TEST(NopSkip, SkipTableMarksNextLiveSlotAndNopPrefix) {
+  TranslatedTrace T(0x1000, 5, 0, 0, {}, /*FromPersistentCache=*/false);
+  T.materialize({makeNop(), makeLdi(1, 1), makeNop(), makeNop(), makeNop()});
+  std::span<const NopSkipEntry> Skip = T.nopSkipTable();
+  ASSERT_EQ(Skip.size(), 6u);
+  const uint32_t NextLive[] = {1, 1, 5, 5, 5, 5};
+  const uint32_t NopsBefore[] = {0, 1, 1, 2, 3, 4};
+  for (uint32_t I = 0; I != 6; ++I) {
+    EXPECT_EQ(Skip[I].NextLive, NextLive[I]) << I;
+    EXPECT_EQ(Skip[I].NopsBefore, NopsBefore[I]) << I;
+  }
+}

@@ -254,9 +254,10 @@ TEST_P(CacheCorruptionSweep, DamagedCacheNeverChangesResults) {
   // that trace's own CRC at first execution, where the engine drops and
   // retranslates it. Either way, no damaged byte may go unnoticed and
   // the run's observable behaviour must be unaffected.
-  if (Warm->Prime.CacheFound)
+  if (Warm->Prime.CacheFound) {
     EXPECT_GT(Warm->Stats.TracesDroppedCorrupt, 0u)
         << "byte " << Position << " flip went undetected";
+  }
   EXPECT_TRUE(Reference->observablyEquals(Warm->Run));
 }
 

@@ -117,6 +117,38 @@ TEST(SessionEdge, CodePoolTooSmallAbandonsPersistence) {
   EXPECT_TRUE(Warm->Run.ok());
 }
 
+TEST(SessionEdge, DescribePrimeNamesTheRejectReason) {
+  // The lookup key omits the addressing mode, so a position-independent
+  // run locates the fixed-address slot and must reject it. The outcome
+  // line says so instead of reporting the cache as absent.
+  TinyWorkload W = makeTinyWorkload(2, 0);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  auto Input = W.allSlotsInput(2);
+  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, Db);
+  ASSERT_TRUE(Cold.ok()) << Cold.status().toString();
+  EXPECT_EQ(describePrime(Cold->Prime), "not found");
+
+  PersistOptions Pic;
+  Pic.PositionIndependent = true;
+  Pic.WriteBack = false;
+  auto Rejected = workloads::runPersistent(W.Registry, W.App, Input, Db, Pic);
+  ASSERT_TRUE(Rejected.ok()) << Rejected.status().toString();
+  EXPECT_FALSE(Rejected->Prime.CacheFound);
+  EXPECT_EQ(Rejected->Prime.RejectReason,
+            "translation addressing mode mismatch");
+  EXPECT_EQ(describePrime(Rejected->Prime),
+            "rejected (translation addressing mode mismatch)");
+  EXPECT_TRUE(Cold->Run.observablyEquals(Rejected->Run));
+
+  auto Warm = workloads::runPersistent(W.Registry, W.App, Input, Db);
+  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+  ASSERT_TRUE(Warm->Prime.CacheFound);
+  EXPECT_EQ(describePrime(Warm->Prime),
+            "found (" + std::to_string(Warm->Prime.TracesInstalled) +
+                " traces installed, 0 skipped, 0 modules invalidated)");
+}
+
 TEST(SessionEdge, LinkingDisabledStillReusesTraces) {
   TinyWorkload W = makeTinyWorkload(3, 1);
   TempDir Dir;

@@ -579,17 +579,9 @@ int main(int Argc, char **Argv) {
       std::printf("persistence pipeline: %u worker(s), %u payload "
                   "job(s) queued at prime\n",
                   Jobs, R->Prime.PayloadJobsQueued);
-    std::printf("persistent cache: %s%s\n",
-                R->Prime.CacheFound ? "found " : "not found",
-                R->Prime.CacheFound
-                    ? formatString("(%u traces installed, %u skipped, "
-                                   "%u modules invalidated)",
-                                   R->Prime.TracesInstalled,
-                                   R->Prime.TracesSkipped,
-                                   R->Prime.ModulesInvalidated)
-                          .c_str()
-                    : "");
-    if (R->Prime.CacheFound)
+    std::printf("persistent cache: %s\n",
+                persist::describePrime(R->Prime).c_str());
+    if (R->Prime.CacheFound && R->Prime.RejectReason.empty())
       std::printf("persistent cache: %s (%llu payload bytes copied)\n",
                   R->Prime.XipInstalled
                       ? "primed execute-in-place from the mapped payload"
