@@ -29,14 +29,21 @@
 #                                    proof contract with pcc-dbcheck
 #                                    (plain certificate replay, then
 #                                    --deep module-bound re-check)
-#   scripts/check.sh --xip           execute-in-place soak: runs the
+#   scripts/check.sh --xip           install-path soak: runs the
 #                                    xip_test and fault_injection_test
-#                                    binaries plus the shared_desktop
+#                                    binaries, the prime slice of
+#                                    pcc_tests (PIC rebase, validation,
+#                                    v1 rejection, session edges and
+#                                    tiered read-through — the copy
+#                                    strategy with a nonzero rebase
+#                                    delta) and the shared_desktop
 #                                    login-storm demo repeatedly under
-#                                    ASan and then TSan (the mapped-
-#                                    payload lifetime and concurrent
-#                                    sharing paths are exactly what
-#                                    those sanitizers catch)
+#                                    ASan and then TSan (borrowed and
+#                                    copied pools share one install
+#                                    function; the mapped-payload
+#                                    lifetime and concurrent sharing
+#                                    paths are exactly what those
+#                                    sanitizers catch)
 #   scripts/check.sh --fleet         fleet smoke: a small pcc-fleetsim
 #                                    run under ASan with --verify (the
 #                                    tiered run must converge and beat
@@ -114,12 +121,14 @@ if [ "${1:-}" = "--xip" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target xip_test \
-      --target fault_injection_test --target shared_desktop
+      --target fault_injection_test --target pcc_tests \
+      --target shared_desktop
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== xip soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/xip_test"
       "$SOAK/tests/fault_injection_test"
+      "$SOAK/tests/pcc_tests" --gtest_filter='Pic.*:Validation.*:FormatMigration.*:SessionEdge*:TieredStoreTest.*'
       "$SOAK/examples/shared_desktop"
       I=$((I + 1))
     done

@@ -112,19 +112,25 @@ ErrorOr<TranslatedTrace *> Compiler::compile(uint32_t StartAddr,
   return *Added;
 }
 
-void pcc::dbi::rebaseTranslatedImmediate(uint8_t *TraceImage,
-                                         size_t ImageBytes,
-                                         uint32_t InstIndex,
-                                         int64_t Delta) {
-  size_t Offset = TracePrologueBytes +
-                  static_cast<size_t>(InstIndex) * isa::InstructionSize +
-                  4;
-  assert(Offset + 4 <= ImageBytes && "immediate outside code image");
+void pcc::dbi::rebaseTranslatedImage(uint8_t *TraceImage,
+                                     size_t ImageBytes, uint32_t InstCount,
+                                     const std::vector<uint8_t> &RelocMask,
+                                     int64_t Delta) {
   (void)ImageBytes;
-  uint32_t Imm = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Imm |= static_cast<uint32_t>(TraceImage[Offset + I]) << (8 * I);
-  Imm = static_cast<uint32_t>(Imm + Delta);
-  for (unsigned I = 0; I != 4; ++I)
-    TraceImage[Offset + I] = static_cast<uint8_t>(Imm >> (8 * I));
+  if (Delta == 0)
+    return;
+  for (uint32_t Inst = 0; Inst != InstCount; ++Inst) {
+    if (Inst / 8 >= RelocMask.size() ||
+        !((RelocMask[Inst / 8] >> (Inst % 8)) & 1))
+      continue;
+    size_t Offset = TracePrologueBytes +
+                    static_cast<size_t>(Inst) * isa::InstructionSize + 4;
+    assert(Offset + 4 <= ImageBytes && "immediate outside code image");
+    uint32_t Imm = 0;
+    for (unsigned I = 0; I != 4; ++I)
+      Imm |= static_cast<uint32_t>(TraceImage[Offset + I]) << (8 * I);
+    Imm = static_cast<uint32_t>(Imm + Delta);
+    for (unsigned I = 0; I != 4; ++I)
+      TraceImage[Offset + I] = static_cast<uint8_t>(Imm >> (8 * I));
+  }
 }

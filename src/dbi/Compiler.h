@@ -36,14 +36,17 @@ inline constexpr uint32_t TracePrologueBytes = 16;
 inline constexpr uint32_t ExitStubBytes = 16;
 inline constexpr uint32_t InstrumentStubBytes = 16;
 
-/// Rebases the 32-bit immediate of the translated instruction at
-/// \p InstIndex inside a trace's pool image by \p Delta (wraps modulo
-/// 2^32). Used for position-independent persisted code: the stored bytes
-/// keep the original immediates, and the load-address delta is applied
-/// in place — at prime time for eagerly decoded caches, or after the
-/// deferred CRC check for lazily materialized ones.
-void rebaseTranslatedImmediate(uint8_t *TraceImage, size_t ImageBytes,
-                               uint32_t InstIndex, int64_t Delta);
+/// Rebases by \p Delta (wrapping modulo 2^32) the 32-bit immediate of
+/// every translated instruction whose bit is set in \p RelocMask, inside
+/// a trace's pool image of \p InstCount instructions. Used for
+/// position-independent persisted code: the stored bytes keep the
+/// original immediates, and the load-address delta is applied in place
+/// after the deferred CRC check, or to the copy finalize() writes back
+/// for a trace that never executed.
+void rebaseTranslatedImage(uint8_t *TraceImage, size_t ImageBytes,
+                           uint32_t InstCount,
+                           const std::vector<uint8_t> &RelocMask,
+                           int64_t Delta);
 
 /// Compiles traces on behalf of one engine run.
 class Compiler {

@@ -151,16 +151,10 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
       // the raw stored bytes and finalize() harvests code from the
       // pool, so it must be rebased here exactly as the inline path
       // does.
-      if (P->RebaseDelta != 0) {
-        uint8_t *Image = Cache.mutableCodeAt(T->poolOffset());
-        for (uint32_t I = 0; I != T->guestInstCount(); ++I) {
-          uint32_t Byte = I / 8;
-          if (Byte < P->RelocMask.size() &&
-              (P->RelocMask[Byte] >> (I % 8)) & 1)
-            rebaseTranslatedImmediate(Image, T->poolBytes(), I,
-                                      P->RebaseDelta);
-        }
-      }
+      if (P->RebaseDelta != 0)
+        rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
+                              T->poolBytes(), T->guestInstCount(),
+                              P->RelocMask, P->RebaseDelta);
       T->clearPersistedPayload();
       if (!Ready->DecodeError.ok())
         return Ready->DecodeError;
@@ -179,16 +173,10 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
     if (crc32(Raw, T->poolBytes()) != P->ExpectedCodeCrc)
       return Status::error(ErrorCode::InvalidFormat,
                            "persisted trace payload checksum mismatch");
-    if (P->RebaseDelta != 0) {
-      uint8_t *Image = Cache.mutableCodeAt(T->poolOffset());
-      for (uint32_t I = 0; I != T->guestInstCount(); ++I) {
-        uint32_t Byte = I / 8;
-        if (Byte < P->RelocMask.size() &&
-            (P->RelocMask[Byte] >> (I % 8)) & 1)
-          rebaseTranslatedImmediate(Image, T->poolBytes(), I,
-                                    P->RebaseDelta);
-      }
-    }
+    if (P->RebaseDelta != 0)
+      rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
+                            T->poolBytes(), T->guestInstCount(),
+                            P->RelocMask, P->RebaseDelta);
     T->clearPersistedPayload();
   }
   auto Body = isa::decodeAll(

@@ -5,6 +5,7 @@
 #include "support/ByteStream.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pcc;
@@ -14,27 +15,19 @@ static Status formatError(const char *Message) {
   return Status::error(ErrorCode::InvalidFormat, Message);
 }
 
-bool pcc::persist::isV2CacheFile(const std::string &Path) {
-  auto Prefix = readFileRange(Path, 0, 4);
-  if (!Prefix || Prefix->size() < 4)
-    return false;
-  uint32_t Magic = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Magic |= static_cast<uint32_t>((*Prefix)[I]) << (8 * I);
-  return Magic == v2::Magic;
-}
-
 Status CacheFileView::parseHeader(const uint8_t *Bytes, size_t Available) {
+  // The magic is checked before the size: a v1 file (which can be
+  // shorter than a v2 header) is healthy bytes in a retired format,
+  // never corruption.
+  ByteReader Reader(Bytes, std::min(Available, v2::HeaderBytes));
+  uint32_t Magic = Reader.readU32();
+  if (!Reader.failed() && Magic == LegacyCacheMagic)
+    return Status::error(ErrorCode::VersionMismatch,
+                         "legacy (v1) cache file");
   if (Available < v2::HeaderBytes)
     return formatError("cache file smaller than v2 header");
-  ByteReader Reader(Bytes, v2::HeaderBytes);
-  uint32_t Magic = Reader.readU32();
-  if (Magic != v2::Magic) {
-    if (Magic == LegacyCacheMagic)
-      return Status::error(ErrorCode::VersionMismatch,
-                           "legacy (v1) cache file");
+  if (Magic != v2::Magic)
     return formatError("bad cache magic");
-  }
   FormatVersion = Reader.readU32();
   if (FormatVersion != v2::Version && FormatVersion != v2::XipVersion)
     return Status::error(ErrorCode::VersionMismatch,

@@ -94,25 +94,16 @@ ErrorOr<StoredCache> DirectoryStore::openRef(const std::string &Ref,
     if (readFileRaw(Ref, Raw))
       Hooks->onCacheObserved(Ref, Raw);
   }
+  // Indexed open: header (and at Depth::Index the module table and
+  // trace index) are CRC-validated here; trace payloads stay unread
+  // until first execution.
+  auto View = CacheFileView::openFile(Ref, D);
+  if (!View) {
+    maybeAutoQuarantine(Ref, View.status());
+    return View.status();
+  }
   StoredCache Cache;
-  if (isV2CacheFile(Ref)) {
-    // Indexed open: header (and at Depth::Index the module table and
-    // trace index) are CRC-validated here; trace payloads stay unread
-    // until first execution.
-    auto View = CacheFileView::openFile(Ref, D);
-    if (!View) {
-      maybeAutoQuarantine(Ref, View.status());
-      return View.status();
-    }
-    Cache.View = View.take();
-    return Cache;
-  }
-  auto File = loadRef(Ref); // Legacy fallback: eager deserialize.
-  if (!File) {
-    maybeAutoQuarantine(Ref, File.status());
-    return File.status();
-  }
-  Cache.Eager = File.take();
+  Cache.View = View.take();
   return Cache;
 }
 
@@ -135,16 +126,8 @@ Status DirectoryStore::putRef(const std::string &Ref,
 uint32_t DirectoryStore::slotGeneration(const std::string &Ref) const {
   if (!fileExists(Ref))
     return 0;
-  if (isV2CacheFile(Ref)) {
-    auto View =
-        CacheFileView::openFile(Ref, CacheFileView::Depth::HeaderOnly);
-    return View ? View->generation() : 0;
-  }
-  auto Bytes = readFile(Ref);
-  if (!Bytes)
-    return 0;
-  auto File = CacheFile::deserialize(*Bytes);
-  return File ? File->Generation : 0;
+  auto View = CacheFileView::openFile(Ref, CacheFileView::Depth::HeaderOnly);
+  return View ? View->generation() : 0;
 }
 
 ErrorOr<FileLock> DirectoryStore::lockWithRetry(const std::string &Path,
@@ -262,28 +245,17 @@ DirectoryStore::findCompatible(uint64_t EngineHash, uint64_t ToolHash) {
   std::vector<uint8_t> IsMatch(Candidates.size(), 0);
   auto Probe = [&](size_t I) {
     const std::string &Path = Candidates[I];
-    if (isV2CacheFile(Path)) {
-      // Header-only open: the compatibility hashes live in the first 76
-      // bytes, so the scan cost is independent of cache size.
-      auto View = CacheFileView::openFile(
-          Path, CacheFileView::Depth::HeaderOnly);
-      if (!View) {
-        // Not a candidate — and corrupt contents get pulled aside so
-        // the next scan is not doomed to trip over them again.
-        maybeAutoQuarantine(Path, View.status());
-        return;
-      }
-      if (View->engineHash() == EngineHash &&
-          View->toolHash() == ToolHash)
-        IsMatch[I] = 1;
+    // Header-only open: the compatibility hashes live in the first 76
+    // bytes, so the scan cost is independent of cache size.
+    auto View =
+        CacheFileView::openFile(Path, CacheFileView::Depth::HeaderOnly);
+    if (!View) {
+      // Not a candidate — and corrupt contents get pulled aside so the
+      // next scan is not doomed to trip over them again.
+      maybeAutoQuarantine(Path, View.status());
       return;
     }
-    auto File = loadRef(Path); // Legacy fallback: eager deserialize.
-    if (!File) {
-      maybeAutoQuarantine(Path, File.status());
-      return;
-    }
-    if (File->EngineHash == EngineHash && File->ToolHash == ToolHash)
+    if (View->engineHash() == EngineHash && View->toolHash() == ToolHash)
       IsMatch[I] = 1;
   };
   if (ScanPool && ScanPool->workerCount() > 0)
@@ -324,42 +296,23 @@ ErrorOr<StoreStats> DirectoryStore::stats() {
   auto ScanOne = [&](size_t I) {
     const std::string &Path = Paths[I];
     StoreStats &Part = Partials[I];
-    if (isV2CacheFile(Path)) {
-      // Index-deep open: trace counts and code/data totals come from
-      // the trace index; payload bytes are never read.
-      auto OnDisk = fileSize(Path);
-      if (!OnDisk) {
-        ++Part.UnreadableFiles;
-        return;
-      }
-      ++Part.CacheFiles;
-      Part.DiskBytes += *OnDisk;
-      auto View =
-          CacheFileView::openFile(Path, CacheFileView::Depth::Index);
-      if (!View) {
-        ++Part.CorruptFiles;
-        return;
-      }
-      Part.CodeBytes += View->codeBytes();
-      Part.DataBytes += View->dataBytes();
-      Part.Traces += View->numTraces();
-      return;
-    }
-    auto Bytes = readFile(Path);
-    if (!Bytes) {
+    // Index-deep open: trace counts and code/data totals come from the
+    // trace index; payload bytes are never read.
+    auto OnDisk = fileSize(Path);
+    if (!OnDisk) {
       ++Part.UnreadableFiles;
       return;
     }
     ++Part.CacheFiles;
-    Part.DiskBytes += Bytes->size();
-    auto File = CacheFile::deserialize(*Bytes);
-    if (!File) {
+    Part.DiskBytes += *OnDisk;
+    auto View = CacheFileView::openFile(Path, CacheFileView::Depth::Index);
+    if (!View) {
       ++Part.CorruptFiles;
       return;
     }
-    Part.CodeBytes += File->codeBytes();
-    Part.DataBytes += File->dataBytes();
-    Part.Traces += File->Traces.size();
+    Part.CodeBytes += View->codeBytes();
+    Part.DataBytes += View->dataBytes();
+    Part.Traces += View->numTraces();
   };
   if (ScanPool && ScanPool->workerCount() > 0)
     ScanPool->parallelFor(Paths.size(), ScanOne);
@@ -406,31 +359,18 @@ ErrorOr<uint32_t> DirectoryStore::shrinkTo(uint64_t MaxBytes) {
       continue;
     Entry E;
     E.Path = Dir + "/" + Name;
-    if (isV2CacheFile(E.Path)) {
-      // Index-deep (still payload-free): shrinkTo must flag files with
-      // damaged module tables or trace indices as corrupt so they are
-      // deleted unconditionally, not just truncated-header ones.
-      auto OnDisk = fileSize(E.Path);
-      if (!OnDisk)
-        continue;
-      E.Size = *OnDisk;
-      auto View = CacheFileView::openFile(
-          E.Path, CacheFileView::Depth::Index);
-      if (!View)
-        E.Corrupt = true;
-      else
-        E.Generation = View->generation();
-    } else {
-      auto Bytes = readFile(E.Path);
-      if (!Bytes)
-        continue;
-      E.Size = Bytes->size();
-      auto File = CacheFile::deserialize(*Bytes);
-      if (!File)
-        E.Corrupt = true;
-      else
-        E.Generation = File->Generation;
-    }
+    // Index-deep (still payload-free): shrinkTo must flag files with
+    // damaged module tables or trace indices as corrupt so they are
+    // deleted unconditionally, not just truncated-header ones.
+    auto OnDisk = fileSize(E.Path);
+    if (!OnDisk)
+      continue;
+    E.Size = *OnDisk;
+    auto View = CacheFileView::openFile(E.Path, CacheFileView::Depth::Index);
+    if (!View)
+      E.Corrupt = true;
+    else
+      E.Generation = View->generation();
     Total += E.Size;
     Entries.push_back(std::move(E));
   }
@@ -603,17 +543,8 @@ void DirectoryStore::maybeAutoQuarantine(const std::string &Ref,
   auto KeyLock = FileLock::tryAcquire(keyLockPath(Key));
   if (!KeyLock)
     return;
-  bool StillCorrupt = false;
-  if (isV2CacheFile(Ref)) {
-    auto View = CacheFileView::openFile(Ref, CacheFileView::Depth::Index);
-    StillCorrupt =
-        !View && View.status().code() == ErrorCode::InvalidFormat;
-  } else if (auto Bytes = readFile(Ref)) {
-    auto File = CacheFile::deserialize(*Bytes);
-    StillCorrupt =
-        !File && File.status().code() == ErrorCode::InvalidFormat;
-  }
-  if (StillCorrupt)
+  auto View = CacheFileView::openFile(Ref, CacheFileView::Depth::Index);
+  if (!View && View.status().code() == ErrorCode::InvalidFormat)
     (void)quarantineRef(Ref, annotatedQuarantineReason(
                                  Ref, QuarantineReasonCode::InvalidFormat,
                                  Failure.message()));

@@ -64,6 +64,11 @@ public:
   ErrorOr<std::vector<uint8_t>>
   readQuarantineAttachment(const std::string &FileName) override;
 
+  /// Stores \p Bytes at \p Ref as-is, without parsing them — the
+  /// in-memory counterpart of writing a file into a store directory
+  /// (foreign-format or damaged images).
+  void putImage(const std::string &Ref, std::vector<uint8_t> Bytes);
+
 private:
   /// A quarantined image plus the reason it was pulled aside.
   struct QuarantinedImage {

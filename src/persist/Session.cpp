@@ -61,14 +61,6 @@ static uint32_t accumulatedHeat(uint32_t Prior, uint64_t Executions) {
                              : static_cast<uint32_t>(Sum);
 }
 
-/// Adds \p Delta to the 32-bit immediate of the encoded instruction at
-/// index \p InstIndex inside a translated code image.
-static void rebaseImmediate(std::vector<uint8_t> &Code, uint32_t InstIndex,
-                            int64_t Delta) {
-  dbi::rebaseTranslatedImmediate(Code.data(), Code.size(), InstIndex,
-                                 Delta);
-}
-
 /// Reads and decodes \p Count guest instructions starting at \p Start
 /// from the live address space — the source side of a deep semantic
 /// verification.
@@ -102,14 +94,42 @@ std::string pcc::persist::describePrime(const PrimeResult &R) {
                       R.ModulesInvalidated);
 }
 
+/// One trace the prime installs: an index entry that passed every
+/// usability check, translated to this run's load addresses.
+struct PersistentSession::PlannedTrace {
+  uint32_t TraceIndex = 0; ///< Index into the source trace index.
+  uint32_t Start = 0;      ///< Rebased guest start (the install key).
+  uint32_t GuestInstCount = 0;
+  uint32_t CodeSize = 0;
+  /// Pool offset of the code image, set by the pool strategy: the file
+  /// code offset when borrowing, the packed offset when copying.
+  uint32_t PoolOffset = 0;
+  int64_t Delta = 0; ///< Load-address delta of the trace's module.
+  uint32_t Heat = 0;
+  uint32_t OptGen = 0;
+  std::vector<dbi::TraceExit> Exits;
+  std::vector<uint32_t> LinkedStarts; ///< Rebased, one per exit.
+  /// Certificate blob that rode in with a promoted body (empty when
+  /// uncertified or rebased).
+  std::vector<uint8_t> Cert;
+};
+
+/// What one walk of the trace index decided.
+struct PersistentSession::InstallPlan {
+  std::vector<PlannedTrace> Traces; ///< Usable entries, in index order.
+  uint32_t Skipped = 0;             ///< Entries the walk refused.
+  uint64_t CodeBytes = 0;           ///< Sum of the usable code images.
+  bool Rebased = false; ///< Some validated module moved since the write.
+};
+
 ErrorOr<StoredCache>
 PersistentSession::locateCache(dbi::Engine &Engine, PrimeResult &Result) {
   CacheStore &Store = *Db.backend();
   auto tryLoad = [&](const std::string &Ref,
                      bool IsOwn) -> ErrorOr<StoredCache> {
-    // Indexed open for v2 caches (header, module table and trace index
+    // Indexed open: header, module table and trace index are
     // CRC-validated here; trace payloads stay unread until first
-    // execution); eager deserialize for legacy ones. The store picks.
+    // execution.
     auto Cache = Store.openRef(Ref, CacheFileView::Depth::Index);
     if (Cache) {
       Result.CachePath = Ref;
@@ -182,18 +202,15 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   if (!Source)
     return Result; // No cache: start empty, still success.
 
-  uint64_t FileEngineHash = Source->engineHash();
-  uint64_t FileToolHash = Source->toolHash();
-  bool FilePic = Source->positionIndependent();
-  if (FileEngineHash != EngineHash) {
+  if (Source->engineHash() != EngineHash) {
     Result.RejectReason = "engine version mismatch";
     return Result;
   }
-  if (FileToolHash != ToolHash) {
+  if (Source->toolHash() != ToolHash) {
     Result.RejectReason = "tool key mismatch";
     return Result;
   }
-  if (FilePic != Opts.PositionIndependent) {
+  if (Source->positionIndependent() != Opts.PositionIndependent) {
     Result.RejectReason = "translation addressing mode mismatch";
     return Result;
   }
@@ -218,25 +235,18 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
                            Source->RemoteFetchBytes,
                            Source->RemoteFetchCycles);
 
-  if (Source->View) {
-    // The session owns the view before installing: an XIP install hands
-    // it to the code cache as the keepalive of the borrowed payload
-    // mapping, and async payload jobs read its bytes from pool workers.
-    LoadedView =
-        std::make_shared<CacheFileView>(std::move(*Source->View));
-    Status S = installView(Engine, *LoadedView, Result);
-    if (!S.ok())
-      return S;
-    // Under XIP there is no decode work to offload; AsyncJobs stays
-    // empty and the queue is never created.
-    if (!AsyncJobs.empty())
-      startAsyncPrime(Engine, Result);
-  } else {
-    Status S = installCache(Engine, *Source->Eager, Result);
-    if (!S.ok())
-      return S;
-    LoadedCache = std::move(Source->Eager);
-  }
+  // The session owns the view before installing: a borrowed pool keeps
+  // it alive as the keepalive of the mapped payload, and async payload
+  // jobs read its bytes from pool workers.
+  LoadedView = std::make_shared<CacheFileView>(std::move(*Source->View));
+  InstallPlan Plan = planInstall(Engine, *LoadedView, Result);
+  Status S = installPlan(Engine, Plan, Result);
+  if (!S.ok())
+    return S;
+  // A borrowed pool has no decode work to offload; AsyncJobs stays
+  // empty and the queue is never created.
+  if (!AsyncJobs.empty())
+    startAsyncPrime(Engine, Result);
   if (Opts.SharedResidency && Result.TracesInstalled != 0) {
     // One shared physical copy per (cache file, generation): every
     // simulated process priming the same payload probes and populates
@@ -244,9 +254,8 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
     // whether another process got there first — exactly the soft-fault
     // condition the cost model wants. The probe is attached on both the
     // XIP and materializing paths, so their stats stay bit-identical.
-    uint32_t Gen =
-        LoadedView ? LoadedView->generation() : LoadedCache->Generation;
-    uint64_t PayloadId = fnv1a64U64(Gen, fnv1a64(Result.CachePath));
+    uint64_t PayloadId =
+        fnv1a64U64(LoadedView->generation(), fnv1a64(Result.CachePath));
     SharedResidencyMap *Map = Opts.SharedResidency;
     Engine.setResidencyProbe([Map, PayloadId](uint32_t Page) {
       return Map->touch(PayloadId, Page);
@@ -461,368 +470,25 @@ void PersistentSession::validateModules(
   }
 }
 
-Status PersistentSession::installCache(dbi::Engine &Engine,
-                                       const CacheFile &File,
-                                       PrimeResult &Result) {
-  dbi::CodeCache &Cache = Engine.cache();
-
+PersistentSession::InstallPlan
+PersistentSession::planInstall(dbi::Engine &Engine,
+                               const CacheFileView &View,
+                               PrimeResult &Result) {
   // Validate every persisted module key against the image loaded now.
-  std::vector<int64_t> Delta;
-  std::vector<std::pair<uint32_t, uint32_t>> Region;
-  validateModules(Engine, File.Modules, Result, Delta, Region);
-
-  // Build the mapped pool image from the usable trace records.
-  struct PendingInstall {
-    uint32_t NewStart = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
-    std::vector<uint8_t> Cert;
-  };
-  std::vector<PendingInstall> Installs;
-  std::vector<uint8_t> Pool;
-  std::unordered_set<uint32_t> SeenStarts;
-  Installs.reserve(File.Traces.size());
-  size_t TotalCode = 0;
-  for (const TraceRecord &Rec : File.Traces)
-    TotalCode += Rec.Code.size();
-  Pool.reserve(TotalCode);
-
-  for (const TraceRecord &Rec : File.Traces) {
-    if (!ModuleValidated[Rec.ModuleIndex]) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-    const int64_t D = Delta[Rec.ModuleIndex];
-    const auto [RegionBase, RegionSize] = Region[Rec.ModuleIndex];
-    const uint32_t NewStart = static_cast<uint32_t>(Rec.GuestStart + D);
-    const size_t MinCodeBytes =
-        dbi::TracePrologueBytes +
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    bool Usable = NewStart >= RegionBase &&
-                  NewStart - RegionBase < RegionSize &&
-                  Rec.Code.size() >= MinCodeBytes &&
-                  !SeenStarts.count(NewStart);
-    if (!Usable) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-
-    std::vector<uint8_t> Code = Rec.Code;
-    if (D != 0)
-      for (uint32_t I = 0; I != Rec.GuestInstCount; ++I)
-        if (Rec.relocBit(I))
-          rebaseImmediate(Code, I, D);
-
-    PendingInstall Install;
-    Install.NewStart = NewStart;
-    Install.GuestInstCount = Rec.GuestInstCount;
-    Install.Heat = Rec.Heat;
-    Install.OptGen = Rec.OptGen;
-    // A certificate binds to the exact stored body bytes, so a rebase
-    // invalidates it: the promoted trace is then re-proved in full at
-    // materialization (empty map entry).
-    if (Opts.CheckCertificates && Rec.OptGen > 0 && D == 0)
-      Install.Cert = Rec.Cert;
-    bool BadExit = false;
-    for (const ExitRecord &Exit : Rec.Exits) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt)) {
-        BadExit = true;
-        break;
-      }
-      uint32_t Target =
-          Exit.Target ? static_cast<uint32_t>(Exit.Target + D) : 0;
-      uint32_t Linked =
-          Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
-                           : 0;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Linked);
-    }
-    if (BadExit) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-    Install.PoolOffset = static_cast<uint32_t>(Pool.size());
-    Install.PoolBytes = static_cast<uint32_t>(Code.size());
-    Pool.insert(Pool.end(), Code.begin(), Code.end());
-    Result.PayloadBytesCopied += Code.size();
-    SeenStarts.insert(NewStart);
-    Installs.push_back(std::move(Install));
-  }
-
-  if (Pool.size() > Engine.options().CodePoolBytes) {
-    // Persistent pools unavailable: abandon persistence for this run
-    // (Section 3.2.2), continue with an empty code cache.
-    Result.RejectReason = "persistent pool exceeds code cache capacity";
-    Result.TracesSkipped +=
-        static_cast<uint32_t>(Installs.size());
-    Result.TracesInstalled = 0;
-    return Status::success();
-  }
-  Status S = Cache.installPersistedPool(std::move(Pool));
-  if (!S.ok())
-    return S;
-
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
-  Cache.reserveTraces(Installs.size());
-  for (PendingInstall &Install : Installs) {
-    auto T = std::make_unique<TranslatedTrace>(
-        Install.NewStart, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
-    auto Added = Cache.addTrace(std::move(T));
-    if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation.
-      ++Result.TracesSkipped;
-      continue;
-    }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.NewStart, std::move(Install.Cert));
-    ByStart.emplace(Install.NewStart, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
-    ++Result.TracesInstalled;
-  }
-  Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
-
-  // Restore persisted trace links between installed traces.
-  if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
-          continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
-        if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
-          continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
-          continue;
-        Cache.link(T, I, It->second);
-        ++Result.LinksRestored;
-      }
-    }
-  }
-  return Status::success();
-}
-
-ErrorOr<bool> PersistentSession::installViewXip(
-    dbi::Engine &Engine, const CacheFileView &View, PrimeResult &Result,
-    const std::vector<int64_t> &Delta,
-    const std::vector<std::pair<uint32_t, uint32_t>> &Region) {
-  // Whole-file gate. XIP executes the mapped payload bytes as-is, so it
-  // is only sound when nothing about this run wants to transform or
-  // re-decode them: the file must have been written page-aligned and
-  // relocation-free (v3), the host's in-memory instruction layout must
-  // equal the encoding, no validation mode may demand decoded private
-  // bodies, and every module must have validated at an unchanged base.
-  // Any disqualifier falls back to the materializing install, whose
-  // modeled charges are bit-identical.
-  if (!View.executeInPlace() || !isa::HostExecutesInPlace ||
-      Opts.ValidateSemantic || Opts.EagerValidate || !LoadedView)
-    return false;
-  for (size_t I = 0; I != Delta.size(); ++I)
-    if (ModuleValidated[I] && Delta[I] != 0)
-      return false; // Rebase would dirty shared pages.
-  if (View.payloadSize() > Engine.options().CodePoolBytes)
-    return false; // Materializing path reports the capacity rejection.
-
-  // Every trace must be usable: the borrowed pool is the whole payload
-  // section and each trace sits at its file code offset, which matches
-  // the materializing path's packed pool offsets only when no entry is
-  // skipped — the invariant behind the two paths' identical page-touch
-  // sequences (and thus identical stats).
-  struct PendingInstall {
-    uint32_t Start = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
-    uint32_t TraceIndex = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
-    std::vector<uint8_t> Cert;
-  };
-  std::vector<PendingInstall> Installs;
-  std::unordered_set<uint32_t> SeenStarts;
-  Installs.reserve(View.numTraces());
-  SeenStarts.reserve(View.numTraces());
-  for (uint32_t TraceI = 0; TraceI != View.numTraces(); ++TraceI) {
-    const TraceIndexEntry &E = View.entry(TraceI);
-    if (!ModuleValidated[E.ModuleIndex])
-      return false;
-    const auto [RegionBase, RegionSize] = Region[E.ModuleIndex];
-    const size_t MinCodeBytes =
-        dbi::TracePrologueBytes +
-        static_cast<size_t>(E.GuestInstCount) * isa::InstructionSize;
-    bool Usable = E.GuestStart >= RegionBase &&
-                  E.GuestStart - RegionBase < RegionSize &&
-                  E.CodeSize >= MinCodeBytes &&
-                  static_cast<uint64_t>(E.CodeOffset) + E.CodeSize <=
-                      View.payloadSize() &&
-                  !SeenStarts.count(E.GuestStart);
-    if (!Usable)
-      return false;
-
-    PendingInstall Install;
-    Install.Start = E.GuestStart;
-    Install.GuestInstCount = E.GuestInstCount;
-    Install.PoolOffset = E.CodeOffset;
-    Install.PoolBytes = E.CodeSize;
-    Install.TraceIndex = TraceI;
-    Install.Heat = E.Heat;
-    Install.OptGen = E.OptGen;
-    if (Opts.CheckCertificates && E.OptGen > 0) {
-      // XIP never rebases (delta zero everywhere), so a certificate
-      // stays bound to the mapped body bytes as-is.
-      auto [CertData, CertSize] = View.certBlobOf(TraceI);
-      if (CertData)
-        Install.Cert.assign(CertData, CertData + CertSize);
-    }
-    for (const ExitRecord &Exit : View.readExits(TraceI)) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt))
-        return false;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Exit.Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Exit.LinkedStart);
-    }
-    SeenStarts.insert(E.GuestStart);
-    Installs.push_back(std::move(Install));
-  }
-
-  // Borrow the mapped payload wholesale: zero bytes copied, zero decode
-  // jobs queued. The view (keepalive) stays alive until the cache
-  // unmaps it — flush/eviction release, never free.
-  dbi::CodeCache &Cache = Engine.cache();
-  Status S = Cache.installBorrowedPool(
-      View.payloadBytes(), View.payloadSize(),
-      std::shared_ptr<const void>(LoadedView));
-  if (!S.ok())
-    return S;
-
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
-  Cache.reserveTraces(Installs.size());
-  for (PendingInstall &Install : Installs) {
-    auto Payload = std::make_unique<dbi::PersistedPayload>();
-    Payload->ExpectedCodeCrc = View.entry(Install.TraceIndex).CodeCrc;
-    Payload->RebaseDelta = 0;
-    // Execution never rebases (delta zero), but finalize() re-emits an
-    // unexecuted trace's reloc mask with the record it carries forward.
-    if (Opts.PositionIndependent)
-      Payload->RelocMask = View.readRelocMask(Install.TraceIndex);
-    Payload->SourceTraceIndex = Install.TraceIndex;
-    Payload->Xip = true;
-    auto T = std::make_unique<TranslatedTrace>(
-        Install.Start, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
-    T->setPersistedPayload(std::move(Payload));
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
-    auto Added = Cache.addTrace(std::move(T));
-    if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation
-      // (the materializing path hits the identical limit at the
-      // identical trace, so parity holds).
-      ++Result.TracesSkipped;
-      continue;
-    }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.Start, std::move(Install.Cert));
-    ByStart.emplace(Install.Start, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
-    ++Result.TracesInstalled;
-  }
-  Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
-
-  if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
-          continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
-        if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
-          continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
-          continue;
-        Cache.link(T, I, It->second);
-        ++Result.LinksRestored;
-      }
-    }
-  }
-  Result.XipInstalled = true;
-  return true;
-}
-
-Status PersistentSession::installView(dbi::Engine &Engine,
-                                      const CacheFileView &View,
-                                      PrimeResult &Result) {
-  dbi::CodeCache &Cache = Engine.cache();
-
   std::vector<int64_t> Delta;
   std::vector<std::pair<uint32_t, uint32_t>> Region;
   validateModules(Engine, View.modules(), Result, Delta, Region);
 
-  // Execute-in-place fast path: borrow the file's mapped payload as the
-  // executable pool instead of copying and decoding it.
-  auto Xip = installViewXip(Engine, View, Result, Delta, Region);
-  if (!Xip)
-    return Xip.status();
-  if (*Xip)
-    return Status::success();
-
-  // Build the mapped pool image from usable index entries. Code bytes
-  // are copied *raw* — no rebase — because each trace's CRC must run
-  // over the stored bytes at first execution; the rebase parameters ride
-  // along as the trace's PersistedPayload.
-  struct PendingInstall {
-    uint32_t NewStart = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
-    uint32_t TraceIndex = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
-    std::unique_ptr<dbi::PersistedPayload> Payload;
-    std::vector<uint8_t> Cert;
-  };
-  std::vector<PendingInstall> Installs;
-  std::vector<uint8_t> Pool;
+  InstallPlan Plan;
+  for (size_t I = 0; I != Delta.size(); ++I)
+    Plan.Rebased |= ModuleValidated[I] && Delta[I] != 0;
   std::unordered_set<uint32_t> SeenStarts;
-  // Exact-fit reservations: the pool is at most the file's whole code
-  // section and there are at most numTraces installs, so the prime hot
-  // path never reallocates mid-copy.
-  Installs.reserve(View.numTraces());
-  Pool.reserve(View.codeBytes());
+  Plan.Traces.reserve(View.numTraces());
   SeenStarts.reserve(View.numTraces());
-  const bool AsyncPrime =
-      Opts.Pool && Opts.Pool->workerCount() > 0 && !Opts.EagerValidate;
-
   for (uint32_t TraceI = 0; TraceI != View.numTraces(); ++TraceI) {
     const TraceIndexEntry &E = View.entry(TraceI);
     if (!ModuleValidated[E.ModuleIndex]) {
-      ++Result.TracesSkipped;
+      ++Plan.Skipped;
       continue;
     }
     const int64_t D = Delta[E.ModuleIndex];
@@ -835,13 +501,18 @@ Status PersistentSession::installView(dbi::Engine &Engine,
                   NewStart - RegionBase < RegionSize &&
                   E.CodeSize >= MinCodeBytes && !SeenStarts.count(NewStart);
     if (!Usable) {
-      ++Result.TracesSkipped;
+      ++Plan.Skipped;
       continue;
     }
 
-    PendingInstall Install;
-    Install.NewStart = NewStart;
-    Install.GuestInstCount = E.GuestInstCount;
+    PlannedTrace P;
+    P.TraceIndex = TraceI;
+    P.Start = NewStart;
+    P.GuestInstCount = E.GuestInstCount;
+    P.CodeSize = E.CodeSize;
+    P.Delta = D;
+    P.Heat = E.Heat;
+    P.OptGen = E.OptGen;
     bool BadExit = false;
     // Exits and links come from the trace index, whose CRC was already
     // validated at open — so restoring links here is safe even though
@@ -856,94 +527,141 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       uint32_t Linked =
           Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
                            : 0;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Linked);
+      P.Exits.push_back(dbi::TraceExit{static_cast<ExitKind>(Exit.Kind),
+                                       Exit.InstIndex, Target, nullptr});
+      P.LinkedStarts.push_back(Linked);
     }
     if (BadExit) {
-      ++Result.TracesSkipped;
+      ++Plan.Skipped;
       continue;
     }
-
-    auto Payload = std::make_unique<dbi::PersistedPayload>();
-    Payload->ExpectedCodeCrc = E.CodeCrc;
-    Payload->RebaseDelta = D;
-    if (Opts.PositionIndependent)
-      Payload->RelocMask = View.readRelocMask(TraceI);
-    Payload->SourceTraceIndex = TraceI;
-    Install.Payload = std::move(Payload);
-    Install.TraceIndex = TraceI;
-    Install.Heat = E.Heat;
-    Install.OptGen = E.OptGen;
     // A certificate binds to the exact stored body bytes, so a rebase
     // invalidates it: the promoted trace is then re-proved in full at
     // materialization (empty map entry).
     if (Opts.CheckCertificates && E.OptGen > 0 && D == 0) {
       auto [CertData, CertSize] = View.certBlobOf(TraceI);
       if (CertData)
-        Install.Cert.assign(CertData, CertData + CertSize);
+        P.Cert.assign(CertData, CertData + CertSize);
     }
-
-    Install.PoolOffset = static_cast<uint32_t>(Pool.size());
-    Install.PoolBytes = E.CodeSize;
-    const uint8_t *Code = View.codeBytesOf(TraceI);
-    Pool.insert(Pool.end(), Code, Code + E.CodeSize);
-    Result.PayloadBytesCopied += E.CodeSize;
+    Plan.CodeBytes += E.CodeSize;
     SeenStarts.insert(NewStart);
-    Installs.push_back(std::move(Install));
+    Plan.Traces.push_back(std::move(P));
+  }
+  return Plan;
+}
+
+Status PersistentSession::installPlan(dbi::Engine &Engine,
+                                      InstallPlan &Plan,
+                                      PrimeResult &Result) {
+  const CacheFileView &View = *LoadedView;
+  dbi::CodeCache &Cache = Engine.cache();
+  Result.TracesSkipped += Plan.Skipped;
+
+  // Borrow gate. XIP executes the mapped payload bytes as-is, so it is
+  // only sound when nothing about this run wants to transform or
+  // re-decode them: the file must have been written page-aligned and
+  // relocation-free (v3), the host's in-memory instruction layout must
+  // equal the encoding, no validation mode may demand decoded private
+  // bodies, and no validated module may have moved (a rebase would
+  // dirty shared pages). Every entry must also be usable: a borrowed
+  // trace sits at its file code offset, which matches the copied
+  // pool's packed offset only when the plan skipped nothing — the
+  // invariant behind the two strategies' identical page-touch
+  // sequences (and thus identical stats). An oversized payload copies,
+  // so the copy strategy reports the capacity rejection.
+  const bool Borrow =
+      View.executeInPlace() && isa::HostExecutesInPlace &&
+      !Opts.ValidateSemantic && !Opts.EagerValidate && !Plan.Rebased &&
+      Plan.Skipped == 0 &&
+      View.payloadSize() <= Engine.options().CodePoolBytes;
+  if (Borrow) {
+    // Zero bytes copied, zero decode jobs queued. The view (keepalive)
+    // stays alive until the cache unmaps it — flush/eviction release,
+    // never free.
+    for (PlannedTrace &P : Plan.Traces)
+      P.PoolOffset = View.entry(P.TraceIndex).CodeOffset;
+    Status S = Cache.installBorrowedPool(
+        View.payloadBytes(), View.payloadSize(),
+        std::shared_ptr<const void>(LoadedView));
+    if (!S.ok())
+      return S;
+  } else {
+    Result.PayloadBytesCopied += Plan.CodeBytes;
+    if (Plan.CodeBytes > Engine.options().CodePoolBytes) {
+      // Persistent pools unavailable: abandon persistence for this run
+      // (Section 3.2.2), continue with an empty code cache.
+      Result.RejectReason = "persistent pool exceeds code cache capacity";
+      Result.TracesSkipped += static_cast<uint32_t>(Plan.Traces.size());
+      Result.TracesInstalled = 0;
+      return Status::success();
+    }
+    // Code bytes are copied *raw* — no rebase — because each trace's
+    // CRC must run over the stored bytes at first execution; the rebase
+    // parameters ride along as the trace's PersistedPayload.
+    std::vector<uint8_t> Pool;
+    Pool.reserve(Plan.CodeBytes);
+    for (PlannedTrace &P : Plan.Traces) {
+      P.PoolOffset = static_cast<uint32_t>(Pool.size());
+      const uint8_t *Code = View.codeBytesOf(P.TraceIndex);
+      Pool.insert(Pool.end(), Code, Code + P.CodeSize);
+    }
+    Status S = Cache.installPersistedPool(std::move(Pool));
+    if (!S.ok())
+      return S;
   }
 
-  if (Pool.size() > Engine.options().CodePoolBytes) {
-    // Persistent pools unavailable: abandon persistence for this run
-    // (Section 3.2.2), continue with an empty code cache.
-    Result.RejectReason = "persistent pool exceeds code cache capacity";
-    Result.TracesSkipped += static_cast<uint32_t>(Installs.size());
-    Result.TracesInstalled = 0;
-    return Status::success();
-  }
-  Status S = Cache.installPersistedPool(std::move(Pool));
-  if (!S.ok())
-    return S;
-
+  const bool AsyncPrime = !Borrow && Opts.Pool &&
+                          Opts.Pool->workerCount() > 0 &&
+                          !Opts.EagerValidate;
   std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
   std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
       LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
-  Cache.reserveTraces(Installs.size());
+  ByStart.reserve(Plan.Traces.size());
+  LinkWork.reserve(Plan.Traces.size());
+  Cache.reserveTraces(Plan.Traces.size());
   if (AsyncPrime)
-    AsyncJobs.reserve(Installs.size());
-  for (PendingInstall &Install : Installs) {
+    AsyncJobs.reserve(Plan.Traces.size());
+  for (PlannedTrace &P : Plan.Traces) {
+    auto Payload = std::make_unique<dbi::PersistedPayload>();
+    Payload->ExpectedCodeCrc = View.entry(P.TraceIndex).CodeCrc;
+    Payload->RebaseDelta = P.Delta;
+    // A borrowed body never rebases (delta zero), but finalize()
+    // re-emits an unexecuted trace's reloc mask with the record it
+    // carries forward.
+    if (Opts.PositionIndependent)
+      Payload->RelocMask = View.readRelocMask(P.TraceIndex);
+    Payload->SourceTraceIndex = P.TraceIndex;
+    Payload->Xip = Borrow;
     AsyncPayloadJob Job;
     if (AsyncPrime) {
-      Job.GuestStart = Install.NewStart;
-      Job.TraceIndex = Install.TraceIndex;
-      Job.GuestInstCount = Install.GuestInstCount;
-      Job.CodeSize = Install.PoolBytes;
-      Job.ExpectedCrc = Install.Payload->ExpectedCodeCrc;
-      Job.RebaseDelta = Install.Payload->RebaseDelta;
-      Job.RelocMask = Install.Payload->RelocMask;
+      Job.GuestStart = P.Start;
+      Job.TraceIndex = P.TraceIndex;
+      Job.GuestInstCount = P.GuestInstCount;
+      Job.CodeSize = P.CodeSize;
+      Job.ExpectedCrc = Payload->ExpectedCodeCrc;
+      Job.RebaseDelta = P.Delta;
+      Job.RelocMask = Payload->RelocMask;
     }
     auto T = std::make_unique<TranslatedTrace>(
-        Install.NewStart, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
-    T->setPersistedPayload(std::move(Install.Payload));
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
+        P.Start, P.GuestInstCount, P.PoolOffset, P.CodeSize,
+        std::move(P.Exits), /*FromPersistentCache=*/true);
+    T->setPersistedPayload(std::move(Payload));
+    T->setPersistedHeat(P.Heat);
+    T->setOptGen(P.OptGen);
     auto Added = Cache.addTrace(std::move(T));
     if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation.
+      // Data pool exhausted: remaining traces fall back to translation
+      // (both strategies hit the identical limit at the identical
+      // trace, so parity holds).
       ++Result.TracesSkipped;
       continue;
     }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.NewStart, std::move(Install.Cert));
+    if (Opts.CheckCertificates && P.OptGen > 0)
+      PrimedCerts.emplace(P.Start, std::move(P.Cert));
     if (AsyncPrime)
       AsyncJobs.push_back(std::move(Job));
-    ByStart.emplace(Install.NewStart, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
+    ByStart.emplace(P.Start, *Added);
+    LinkWork.emplace_back(*Added, std::move(P.LinkedStarts));
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
@@ -966,6 +684,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       }
     }
   }
+  Result.XipInstalled = Borrow;
   return Status::success();
 }
 
@@ -1009,19 +728,16 @@ void clearRelocBit(TraceRecord &Rec, uint32_t I) {
     Rec.RelocMask[I / 8] &= static_cast<uint8_t>(~(1u << (I % 8)));
 }
 
-/// Optimizes \p Rec's body in place and proves the result equivalent to
-/// \p Source; on success re-encodes the image (same size — slot-for-
-/// slot rewriting) and bumps the record's generation. Rejection leaves
-/// the record untouched. Replaced slots lose their reloc bits: a Nop or
-/// register move carries no address-bearing immediate to rebase.
-bool promoteRecord(TraceRecord &Rec,
-                   const std::vector<isa::Instruction> &Source, bool Pic,
-                   bool EmitCerts, OptOutcome &Out) {
-  auto Decoded = isa::decodeAll(
-      Rec.Code.data() + dbi::TracePrologueBytes, Rec.GuestInstCount);
-  if (!Decoded)
-    return false;
-  std::vector<isa::Instruction> Body = Decoded.take();
+/// The promotion tail shared by scalar traces and merged superblocks:
+/// optimizes \p Body (\p Rec's decoded body), proves the result
+/// equivalent to \p Source, then re-encodes it into \p Rec's image
+/// behind the prologue (same size — slot-for-slot rewriting) and bumps
+/// the record's generation. Rejection leaves the record untouched.
+/// Replaced slots lose their reloc bits: a Nop or register move carries
+/// no address-bearing immediate to rebase.
+bool promoteBody(TraceRecord &Rec, std::vector<isa::Instruction> Body,
+                 const std::vector<isa::Instruction> &Source, bool Pic,
+                 bool EmitCerts, OptOutcome &Out) {
   const std::vector<isa::Instruction> Original = Body;
   analysis::TraceOptStats OS;
   analysis::optimizeTraceBody(Body, Rec.GuestStart,
@@ -1033,13 +749,13 @@ bool promoteRecord(TraceRecord &Rec,
     ++Out.Rejections;
     return false;
   }
-  std::vector<uint8_t> Encoded = isa::encodeAll(Body);
-  std::copy(Encoded.begin(), Encoded.end(),
-            Rec.Code.begin() + dbi::TracePrologueBytes);
   if (Pic)
     for (uint32_t I = 0; I != Body.size(); ++I)
       if (!sameInst(Body[I], Original[I]))
         clearRelocBit(Rec, I);
+  std::vector<uint8_t> Encoded = isa::encodeAll(Body);
+  std::copy(Encoded.begin(), Encoded.end(),
+            Rec.Code.begin() + dbi::TracePrologueBytes);
   ++Rec.OptGen;
   // The proof just ran against the new body: persist it as this
   // record's certificate. Any prior-generation certificate is stale
@@ -1141,40 +857,15 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
     Merged.Heat = Head.Heat;
     Merged.OptGen = Head.OptGen;
     Merged.Exits = std::move(Exits);
-
-    const std::vector<isa::Instruction> Original = Body;
-    analysis::TraceOptStats OS;
-    analysis::optimizeTraceBody(Body, Merged.GuestStart,
-                                /*AllowConstFold=*/!Pic, OS);
-    analysis::Certificate Cert;
-    auto Check = analysis::validateTranslation(
-        Merged.GuestStart, Source, Body, EmitCerts ? &Cert : nullptr);
-    if (!Check.Equivalent) {
-      ++Out.Rejections;
-      continue;
-    }
-    if (Pic)
-      for (uint32_t I = 0; I != Body.size(); ++I)
-        if (!sameInst(Body[I], Original[I]))
-          clearRelocBit(Merged, I);
     Merged.Code.assign(dbi::TracePrologueBytes +
                            Body.size() * isa::InstructionSize +
                            Merged.Exits.size() * dbi::ExitStubBytes,
                        0);
-    std::vector<uint8_t> Encoded = isa::encodeAll(Body);
-    std::copy(Encoded.begin(), Encoded.end(),
-              Merged.Code.begin() + dbi::TracePrologueBytes);
-    ++Merged.OptGen;
-    if (EmitCerts) {
-      Cert.OptGen = Merged.OptGen;
-      Merged.Cert = Cert.serialize();
-    }
+    if (!promoteBody(Merged, std::move(Body), Source, Pic, EmitCerts, Out))
+      continue;
     File.Traces[CandIdx[Chain[0]]] = std::move(Merged);
     Done[Chain[0]] = true;
     ++Out.SuperblocksFormed;
-    ++Out.TracesPromoted;
-    Out.LoadsEliminated += OS.LoadsEliminated;
-    Out.ConstsFolded += OS.ConstsFolded;
   }
 
   // Scalar promotion for every remaining candidate — superblock tails
@@ -1182,8 +873,12 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
   for (size_t CI = 0; CI != CandIdx.size(); ++CI) {
     if (Done[CI])
       continue;
-    promoteRecord(File.Traces[CandIdx[CI]], Sources.at(Cands[CI].Start),
-                  Pic, EmitCerts, Out);
+    TraceRecord &Rec = File.Traces[CandIdx[CI]];
+    auto Body = isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
+                               Rec.GuestInstCount);
+    if (Body)
+      promoteBody(Rec, Body.take(), Sources.at(Cands[CI].Start), Pic,
+                  EmitCerts, Out);
   }
 }
 
@@ -1248,9 +943,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // relocation-free bodies are what make the shared payload pages
   // executable as-is by every later mapping at an unchanged base.
   File.ExecuteInPlace = Opts.ExecuteInPlace && Opts.PositionIndependent;
-  File.Generation = LoadedCache   ? LoadedCache->Generation + 1
-                    : LoadedView  ? LoadedView->generation() + 1
-                                  : 1;
+  File.Generation = LoadedView ? LoadedView->generation() + 1 : 1;
   File.WriterTag = static_cast<uint16_t>(currentProcessId() & 0xffff);
 
   File.Modules.reserve(Image.Modules.size());
@@ -1336,13 +1029,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // re-proving.
   std::unordered_map<uint32_t, std::pair<const uint8_t *, size_t>>
       PriorCerts;
-  if (LoadedCache) {
-    for (const TraceRecord &Rec : LoadedCache->Traces)
-      if (!Rec.Cert.empty())
-        PriorCerts.emplace(
-            Rec.GuestStart,
-            std::make_pair(Rec.Cert.data(), Rec.Cert.size()));
-  } else if (LoadedView && LoadedView->certsPresent()) {
+  if (LoadedView && LoadedView->certsPresent()) {
     for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
       auto [CertData, CertSize] = LoadedView->certBlobOf(J);
       if (CertData)
@@ -1400,11 +1087,9 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
       // the written copy so the file's bytes match the current base.
       if (crc32(Rec.Code.data(), Rec.Code.size()) != P->ExpectedCodeCrc)
         continue;
-      if (P->RebaseDelta != 0)
-        for (uint32_t I = 0; I != Rec.GuestInstCount; ++I)
-          if (P->RelocMask.size() > I / 8 &&
-              (P->RelocMask[I / 8] >> (I % 8)) & 1)
-            rebaseImmediate(Rec.Code, I, P->RebaseDelta);
+      dbi::rebaseTranslatedImage(Rec.Code.data(), Rec.Code.size(),
+                                 Rec.GuestInstCount, P->RelocMask,
+                                 P->RebaseDelta);
       if (Opts.PositionIndependent)
         Rec.RelocMask = P->RelocMask;
       reattachCert(Rec);
@@ -1443,35 +1128,6 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     File.Traces.push_back(std::move(Rec));
   }
 
-  // Prior-cache accessors, uniform over the eagerly loaded v1 file and
-  // the indexed v2 view. v2 record extraction CRC-checks the payload;
-  // failures drop only that trace from the carry-through.
-  const bool HasPrior = LoadedCache.has_value() || LoadedView != nullptr;
-  size_t PriorModules = LoadedCache  ? LoadedCache->Modules.size()
-                        : LoadedView ? LoadedView->numModules()
-                                     : 0;
-  size_t PriorTraces = LoadedCache  ? LoadedCache->Traces.size()
-                       : LoadedView ? LoadedView->numTraces()
-                                    : 0;
-  auto priorModule = [&](size_t I) -> const ModuleKey & {
-    return LoadedCache ? LoadedCache->Modules[I] : LoadedView->modules()[I];
-  };
-  auto priorTraceModule = [&](size_t J) -> uint32_t {
-    return LoadedCache
-               ? LoadedCache->Traces[J].ModuleIndex
-               : LoadedView->entry(static_cast<uint32_t>(J)).ModuleIndex;
-  };
-  auto priorTraceStart = [&](size_t J) -> uint32_t {
-    return LoadedCache
-               ? LoadedCache->Traces[J].GuestStart
-               : LoadedView->entry(static_cast<uint32_t>(J)).GuestStart;
-  };
-  auto priorRecord = [&](size_t J) -> ErrorOr<TraceRecord> {
-    if (LoadedCache)
-      return LoadedCache->Traces[J];
-    return LoadedView->record(static_cast<uint32_t>(J));
-  };
-
   // Accumulation carry-through, part 1: traces of *validated* modules
   // that are no longer resident in the engine cache — dropped by a
   // mid-run flush or skipped at install when a pool filled. The paper
@@ -1482,7 +1138,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // unchanged (always true for validated non-PIC modules; PIC reuse at
   // a new base would require rebasing the stale records, so those are
   // left to retranslation instead).
-  if (Opts.Accumulate && LoadedWasOwn && HasPrior) {
+  if (Opts.Accumulate && LoadedWasOwn && LoadedView) {
     std::unordered_set<uint32_t> Written;
     for (const TraceRecord &Rec : File.Traces)
       Written.insert(Rec.GuestStart);
@@ -1490,18 +1146,19 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     for (size_t I = 0; I != File.Modules.size(); ++I)
       IndexByPath.emplace(File.Modules[I].Path,
                           static_cast<uint32_t>(I));
-    for (size_t I = 0; I != PriorModules; ++I) {
+    for (size_t I = 0; I != LoadedView->numModules(); ++I) {
       if (!ModuleLoadedNow[I] || !ModuleValidated[I])
         continue;
-      const ModuleKey &Old = priorModule(I);
+      const ModuleKey &Old = LoadedView->modules()[I];
       auto It = IndexByPath.find(Old.Path);
       if (It == IndexByPath.end() ||
           File.Modules[It->second].Base != Old.Base)
         continue;
-      for (size_t J = 0; J != PriorTraces; ++J) {
-        if (priorTraceModule(J) != I || Written.count(priorTraceStart(J)))
+      for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
+        const TraceIndexEntry &E = LoadedView->entry(J);
+        if (E.ModuleIndex != I || Written.count(E.GuestStart))
           continue;
-        auto Copy = priorRecord(J);
+        auto Copy = LoadedView->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
         Copy->ModuleIndex = It->second;
@@ -1516,11 +1173,11 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // coverage only grows over time (Section 4.4). Only applies to this
   // application's own cache; donor caches are never modified or
   // absorbed wholesale.
-  if (Opts.Accumulate && LoadedWasOwn && HasPrior) {
-    for (size_t I = 0; I != PriorModules; ++I) {
+  if (Opts.Accumulate && LoadedWasOwn && LoadedView) {
+    for (size_t I = 0; I != LoadedView->numModules(); ++I) {
       if (ModuleLoadedNow[I])
         continue;
-      const ModuleKey &Old = priorModule(I);
+      const ModuleKey &Old = LoadedView->modules()[I];
       bool Collides = false;
       for (const ModuleKey &Current : File.Modules)
         Collides |= regionsOverlap(Old.Base, Old.Size, Current.Base,
@@ -1529,10 +1186,10 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         continue;
       uint32_t NewIndex = static_cast<uint32_t>(File.Modules.size());
       File.Modules.push_back(Old);
-      for (size_t J = 0; J != PriorTraces; ++J) {
-        if (priorTraceModule(J) != I)
+      for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
+        if (LoadedView->entry(J).ModuleIndex != I)
           continue;
-        auto Copy = priorRecord(J);
+        auto Copy = LoadedView->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
         Copy->ModuleIndex = NewIndex;
@@ -1597,7 +1254,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // history), so a concurrent finalizer that advanced the slot first is
   // detected and merged with instead of clobbered.
   uint32_t BaseGeneration =
-      LoadedWasOwn && HasPrior ? File.Generation - 1 : 0;
+      LoadedWasOwn && LoadedView ? File.Generation - 1 : 0;
 
   uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
 

@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -250,27 +249,28 @@ private:
                        const std::vector<ModuleKey> &Persisted,
                        PrimeResult &Result, std::vector<int64_t> &Delta,
                        std::vector<std::pair<uint32_t, uint32_t>> &Region);
-  Status installCache(dbi::Engine &Engine, const CacheFile &File,
-                      PrimeResult &Result);
-  /// v2 install: traces enter the cache as unmaterialized index
-  /// references; code bytes are copied raw and their CRC + decode (and
-  /// PIC rebase) deferred to Engine::ensureMaterialized().
-  Status installView(dbi::Engine &Engine, const CacheFileView &View,
+  struct PlannedTrace;
+  struct InstallPlan;
+  /// The one walk of \p View's trace index: validates the module keys,
+  /// then applies the usability and exit-kind checks, translates each
+  /// usable entry by its module's load delta, and picks up certificates,
+  /// heat and optimization generations.
+  InstallPlan planInstall(dbi::Engine &Engine, const CacheFileView &View,
+                          PrimeResult &Result);
+  /// Installs \p Plan into the engine's code cache from LoadedView.
+  /// Traces enter as unmaterialized index references whose CRC + decode
+  /// (and PIC rebase) are deferred to Engine::ensureMaterialized(). The
+  /// pool is either *borrowed* — the code cache executes the view's
+  /// page-aligned v3 payload in place at each trace's file code offset,
+  /// zero bytes copied, zero decode work queued — or *copied* into a
+  /// packed private pool when the file, session or host does not
+  /// qualify (any rebase delta, any skipped entry, validation modes,
+  /// big-endian host). Both strategies charge bit-identical modeled
+  /// stats.
+  Status installPlan(dbi::Engine &Engine, InstallPlan &Plan,
                      PrimeResult &Result);
-  /// v3 execute-in-place install: the code cache borrows the view's
-  /// page-aligned payload section (kept alive by LoadedView) and every
-  /// trace is installed at its file code offset — zero payload bytes
-  /// copied, zero decode work queued. Returns false without touching
-  /// the engine when the file/session/host combination does not
-  /// qualify (any rebase delta, any unusable trace, validation modes,
-  /// big-endian host); the caller then falls back to the materializing
-  /// install, whose modeled stats are bit-identical.
-  ErrorOr<bool>
-  installViewXip(dbi::Engine &Engine, const CacheFileView &View,
-                 PrimeResult &Result, const std::vector<int64_t> &Delta,
-                 const std::vector<std::pair<uint32_t, uint32_t>> &Region);
 
-  /// Hands the deferred payload jobs recorded by installView() to the
+  /// Hands the deferred payload jobs recorded by installPlan() to the
   /// worker pool and attaches the install queue to \p Engine.
   void startAsyncPrime(dbi::Engine &Engine, PrimeResult &Result);
 
@@ -316,14 +316,12 @@ private:
   };
   std::shared_ptr<FinalizeState> Fin;
 
-  /// State carried from prime() to finalize(). At most one of
-  /// LoadedCache (v1) and LoadedView (v2) is engaged. The view is
-  /// shared because an XIP install hands it to the code cache as the
-  /// keepalive of the borrowed payload mapping.
-  std::optional<CacheFile> LoadedCache;
+  /// State carried from prime() to finalize(). The view is shared
+  /// because a borrowed pool hands it to the code cache as the
+  /// keepalive of the mapped payload.
   std::shared_ptr<CacheFileView> LoadedView;
-  std::vector<bool> ModuleValidated; ///< Per LoadedCache module.
-  std::vector<bool> ModuleLoadedNow; ///< Per LoadedCache module.
+  std::vector<bool> ModuleValidated; ///< Per LoadedView module.
+  std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
   /// Promoted traces installed by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
   /// in with the record, or empty when none is usable (rebase delta,

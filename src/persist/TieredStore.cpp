@@ -161,14 +161,18 @@ ErrorOr<StoredCache> TieredStore::openRef(const std::string &Ref,
     }
     return Fetched.status(); // Remote failure: caller degrades.
   }
-  // Serve the filled slot (the normal case); fall back to wrapping the
-  // fetched image when the fill could not land.
+  // Serve the filled slot (the normal case); fall back to a view over
+  // the fetched image when the fill could not land.
   auto Now = L1->openRef(LocalRef, D);
   StoredCache Out;
-  if (Now)
+  if (Now) {
     Out = Now.take();
-  else
-    Out.Eager = Fetched.take();
+  } else {
+    auto View = CacheFileView::open(Fetched->serialize(), D);
+    if (!View)
+      return View.status();
+    Out.View = View.take();
+  }
   touchUseLocked(Name);
   Lock.unlock();
   ++L2Hits;
@@ -221,7 +225,7 @@ void TieredStore::fillL1IfNewer(const std::string &Name,
       // incoming file is only an upgrade when it has them and the
       // resident copy does not — a stale gen-0 finalizer must never
       // clobber a promoted artifact.
-      bool CurPromoted = Cur->View && Cur->View->optGenEntries();
+      bool CurPromoted = Cur->View->optGenEntries();
       if (CurPromoted || File.maxOptGen() == 0) {
         touchUseLocked(Name);
         return;
@@ -550,15 +554,9 @@ void TieredStore::enforceL1QuotaLocked(const std::string &Protect) {
       SawCorrupt = true;
       continue;
     }
-    if (Cache->View) {
-      V.Bytes = Cache->View->declaredFileBytes();
-      for (uint32_t I = 0; I != Cache->View->numTraces(); ++I)
-        V.Heat += Cache->View->entry(I).Heat;
-    } else {
-      V.Bytes = Cache->Eager->serializedSize();
-      for (const TraceRecord &T : Cache->Eager->Traces)
-        V.Heat += T.Heat;
-    }
+    V.Bytes = Cache->View->declaredFileBytes();
+    for (uint32_t I = 0; I != Cache->View->numTraces(); ++I)
+      V.Heat += Cache->View->entry(I).Heat;
     Victims.push_back(std::move(V));
   }
   uint64_t Total = S->DiskBytes;

@@ -578,6 +578,53 @@ TEST(TieredStoreTest, SessionSurvivesRemoteOutage) {
   EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
 }
 
+TEST(TieredStoreTest, ReadThroughServesFetchedBytesWhenL1FillFails) {
+  // A local tier that cannot take the read-through fill (disk full)
+  // must not cost the run its warm start: the fetched image is served
+  // as-is, stamped L2 and charged the remote link.
+  TinyWorkload W = makeTinyWorkload(3, 2);
+  auto Input = W.allSlotsInput(2);
+  auto L2 = std::make_shared<MemoryStore>("<remote>");
+  CacheDatabase Publisher(std::make_shared<TieredStore>(
+      std::make_shared<MemoryStore>("<l1-a>"), L2));
+  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, Publisher);
+  ASSERT_TRUE(Cold.ok()) << Cold.status().toString();
+
+  TempDir Dir;
+  auto L1 = std::make_shared<DirectoryStore>(Dir.path() + "/l1");
+  auto Store = std::make_shared<TieredStore>(L1, L2);
+  CacheDatabase Db(Store);
+  PersistOptions ReadOnly;
+  ReadOnly.WriteBack = false;
+
+  FaultScope Faults;
+  FaultInjector::instance().armProbability(FaultOp::Enospc, 1.0);
+  auto Warm =
+      workloads::runPersistent(W.Registry, W.App, Input, Db, ReadOnly);
+  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+  EXPECT_GT(FaultInjector::instance().injectedCount(FaultOp::Enospc), 0u);
+  EXPECT_TRUE(Warm->Prime.CacheFound);
+  EXPECT_GT(Warm->Prime.TracesInstalled, 0u);
+  EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
+  EXPECT_EQ(Warm->Stats.PersistL1Hits, 0u);
+  EXPECT_EQ(Warm->Stats.PersistL2Hits, 1u);
+  EXPECT_EQ(Warm->Stats.PersistRemoteFetches, 1u);
+  EXPECT_GT(Warm->Stats.PersistRemoteBytes, 0u);
+  EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
+  auto Local = L1->listRefs();
+  ASSERT_TRUE(Local.ok());
+  EXPECT_TRUE(Local->empty()) << "the failed fill must not land in L1";
+
+  // The store-level open reports the same tier and charges.
+  auto Opened =
+      Store->openRef(Warm->Prime.CachePath, CacheFileView::Depth::Index);
+  ASSERT_TRUE(Opened.ok()) << Opened.status().toString();
+  EXPECT_EQ(Opened->Tier, CacheTier::L2);
+  EXPECT_GT(Opened->RemoteFetchBytes, 0u);
+  EXPECT_GE(Opened->RemoteFetchCycles,
+            Store->options().RemoteFetchLatencyCycles);
+}
+
 TEST(TieredStoreTest, L1QuotaEvictsColdestLowestHeatFirst) {
   uint64_t OneFile = makeFileWithStarts({0x400000}).serializedSize();
   TieredOptions Opts;
@@ -900,11 +947,6 @@ TEST(WriterTagTest, RoundTripsThroughV2HeaderAndView) {
   auto Back = CacheFile::deserialize(File.serialize());
   ASSERT_TRUE(Back.ok());
   EXPECT_EQ(Back->WriterTag, 0xBEEFu);
-
-  // Legacy files have no tag slot: it reads back untagged.
-  auto Legacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(Legacy.ok());
-  EXPECT_EQ(Legacy->WriterTag, 0u);
 }
 
 TEST(WriterTagTest, FinalizeTagsTheCacheWithThisProcess) {

@@ -10,7 +10,9 @@
 #include "persist/CacheDatabase.h"
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
+#include "persist/DirectoryStore.h"
 #include "persist/Key.h"
+#include "persist/MemoryStore.h"
 #include "persist/Session.h"
 
 #include "TestUtils.h"
@@ -18,6 +20,8 @@
 #include "support/Hashing.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace pcc;
 using namespace pcc::persist;
@@ -214,12 +218,84 @@ TEST(Database, ClearRemovesEverything) {
 }
 
 //===----------------------------------------------------------------------===//
-// Format migration: legacy (v1) cache files still deserialize, prime
-// identically to their v2 rewrite, and are upgraded to v2 by the next
-// finalize().
+// Format versions: v2 images round-trip; a legacy v1 ("PCC1") file is
+// refused like any unsupported version — the run goes cold, nothing is
+// quarantined, and the next finalize() overwrites the slot as v2.
 //===----------------------------------------------------------------------===//
 
-TEST(FormatMigration, LegacyAndV2RoundTripAgree) {
+namespace {
+
+/// A well-formed legacy v1 image: magic, the v1 layout's own version
+/// word (2), the identity fields, empty module and trace tables, and a
+/// valid trailing whole-file CRC. No library code writes v1 any more.
+std::vector<uint8_t> legacyV1Image() {
+  ByteWriter Writer;
+  Writer.writeU32(LegacyCacheMagic);
+  Writer.writeU32(2);
+  Writer.writeU64(dbi::engineVersionHash());
+  Writer.writeU64(noToolHash());
+  Writer.writeU8(0);  // Spec bits.
+  Writer.writeU8(0);  // Position independent.
+  Writer.writeU32(1); // Generation.
+  Writer.writeU32(0); // Module count.
+  Writer.writeU32(0); // Trace count.
+  Writer.writeU32(crc32(Writer.bytes().data(), Writer.size()));
+  return Writer.take();
+}
+
+/// Plants a v1 image in the application's own slot of \p Store, then
+/// checks the whole rejection contract: a cold prime whose reason
+/// names the legacy format, no quarantine, no inter-application
+/// candidate, guest output equal to the cold run's, a v2 generation-1
+/// rewrite at finalize(), and a warm run after it.
+void expectV1RejectedThenRewritten(
+    const std::shared_ptr<CacheStore> &Store,
+    const std::function<void(const std::string &,
+                             const std::vector<uint8_t> &)> &Plant) {
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  auto Input = W.allSlotsInput(3);
+  CacheDatabase Db(Store);
+  auto Cold = mustRunPersistent(W, Input, Db);
+  ASSERT_FALSE(Cold.Prime.CacheFound);
+  auto Refs = Store->listRefs();
+  ASSERT_TRUE(Refs.ok());
+  ASSERT_EQ(Refs->size(), 1u);
+  const std::string Ref = Refs->front();
+  Plant(Ref, legacyV1Image());
+
+  auto Open = Store->openRef(Ref, CacheFileView::Depth::Index);
+  ASSERT_FALSE(Open.ok());
+  EXPECT_EQ(Open.status().code(), ErrorCode::VersionMismatch);
+  auto Candidates = Db.findCompatible(dbi::engineVersionHash(), noToolHash());
+  ASSERT_TRUE(Candidates.ok());
+  EXPECT_TRUE(Candidates->empty()) << "a v1 file is no candidate";
+
+  auto Rejected = mustRunPersistent(W, Input, Db);
+  EXPECT_FALSE(Rejected.Prime.CacheFound);
+  EXPECT_NE(Rejected.Prime.RejectReason.find("legacy (v1)"),
+            std::string::npos)
+      << Rejected.Prime.RejectReason;
+  EXPECT_EQ(Rejected.Stats.TracesCompiled, Cold.Stats.TracesCompiled);
+  EXPECT_TRUE(Cold.Run.observablyEquals(Rejected.Run));
+  auto Quarantined = Db.quarantined();
+  ASSERT_TRUE(Quarantined.ok());
+  EXPECT_TRUE(Quarantined->empty()) << "a version mismatch is not damage";
+
+  auto Rewritten = Store->openRef(Ref, CacheFileView::Depth::Index);
+  ASSERT_TRUE(Rewritten.ok()) << Rewritten.status().toString();
+  EXPECT_EQ(Rewritten->View->formatVersion(), v2::Version);
+  EXPECT_EQ(Rewritten->View->generation(), 1u);
+
+  auto Warm = mustRunPersistent(W, Input, Db);
+  EXPECT_TRUE(Warm.Prime.CacheFound);
+  EXPECT_TRUE(Warm.Prime.RejectReason.empty());
+  EXPECT_EQ(Warm.Stats.TracesCompiled, 0u);
+  EXPECT_TRUE(Cold.Run.observablyEquals(Warm.Run));
+}
+
+} // namespace
+
+TEST(FormatMigration, V2RoundTripKeepsLogicalContent) {
   CacheFile File;
   File.EngineHash = 11;
   File.ToolHash = 22;
@@ -241,94 +317,42 @@ TEST(FormatMigration, LegacyAndV2RoundTripAgree) {
   Trace.setRelocBit(2);
   File.Traces.push_back(Trace);
 
-  auto FromLegacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(FromLegacy.ok()) << FromLegacy.status().toString();
-  auto FromV2 = CacheFile::deserialize(File.serialize());
-  ASSERT_TRUE(FromV2.ok()) << FromV2.status().toString();
-  EXPECT_EQ(FromLegacy->SourceFormat, 1u);
-  EXPECT_EQ(FromV2->SourceFormat, 2u);
-  EXPECT_TRUE(FromLegacy->validate().ok());
-  EXPECT_TRUE(FromV2->validate().ok());
+  auto Back = CacheFile::deserialize(File.serialize());
+  ASSERT_TRUE(Back.ok()) << Back.status().toString();
+  EXPECT_EQ(Back->SourceFormat, 2u);
+  EXPECT_TRUE(Back->validate().ok());
+  EXPECT_EQ(Back->EngineHash, 11u);
+  EXPECT_EQ(Back->Generation, 4u);
+  ASSERT_EQ(Back->Modules.size(), 1u);
+  EXPECT_EQ(Back->Modules[0].Path, "/bin/y");
+  ASSERT_EQ(Back->Traces.size(), 1u);
+  EXPECT_EQ(Back->Traces[0].Code, Trace.Code);
+  EXPECT_EQ(Back->Traces[0].Exits.size(), 1u);
+  EXPECT_TRUE(Back->Traces[0].relocBit(2));
+  EXPECT_FALSE(Back->Traces[0].relocBit(1));
 
-  // Same logical content regardless of the on-disk format.
-  for (const CacheFile *Back : {&*FromLegacy, &*FromV2}) {
-    EXPECT_EQ(Back->EngineHash, 11u);
-    EXPECT_EQ(Back->Generation, 4u);
-    ASSERT_EQ(Back->Modules.size(), 1u);
-    EXPECT_EQ(Back->Modules[0].Path, "/bin/y");
-    ASSERT_EQ(Back->Traces.size(), 1u);
-    EXPECT_EQ(Back->Traces[0].Code, Trace.Code);
-    EXPECT_EQ(Back->Traces[0].Exits.size(), 1u);
-    EXPECT_TRUE(Back->Traces[0].relocBit(2));
-    EXPECT_FALSE(Back->Traces[0].relocBit(1));
-  }
+  // The eager reader refuses v1 bytes the same way the view does.
+  auto Legacy = CacheFile::deserialize(legacyV1Image());
+  ASSERT_FALSE(Legacy.ok());
+  EXPECT_EQ(Legacy.status().code(), ErrorCode::VersionMismatch);
 }
 
-TEST(FormatMigration, V1PrimesIdenticallyToV2) {
-  TinyWorkload W = makeTinyWorkload(6, 3);
-  auto Input = W.allSlotsInput(4);
+TEST(FormatMigration, V1RejectedThenRewrittenInDirectoryStore) {
   TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  auto Cold = mustRunPersistent(W, Input, Db);
-  EXPECT_FALSE(Cold.Prime.CacheFound);
-
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  ASSERT_EQ(Files->size(), 1u);
-  std::string Path = Dir.path() + "/" + (*Files)[0];
-  ASSERT_TRUE(isV2CacheFile(Path));
-
-  PersistOptions ReadOnly;
-  ReadOnly.WriteBack = false;
-  auto WarmV2 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Downgrade the same cache to the legacy format in place.
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok()) << AsFile.status().toString();
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-  auto WarmV1 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Both formats prime the exact same trace set and restore the same
-  // links; the runs are observably identical.
-  EXPECT_TRUE(WarmV1.Prime.CacheFound);
-  EXPECT_TRUE(WarmV2.Prime.CacheFound);
-  EXPECT_EQ(WarmV1.Prime.TracesInstalled, WarmV2.Prime.TracesInstalled);
-  EXPECT_EQ(WarmV1.Prime.TracesSkipped, WarmV2.Prime.TracesSkipped);
-  EXPECT_EQ(WarmV1.Prime.ModulesValidated, WarmV2.Prime.ModulesValidated);
-  EXPECT_EQ(WarmV1.Prime.ModulesInvalidated,
-            WarmV2.Prime.ModulesInvalidated);
-  EXPECT_EQ(WarmV1.Prime.LinksRestored, WarmV2.Prime.LinksRestored);
-  EXPECT_EQ(WarmV1.Stats.TracesCompiled, WarmV2.Stats.TracesCompiled);
-  EXPECT_TRUE(WarmV1.Run.observablyEquals(WarmV2.Run));
+  expectV1RejectedThenRewritten(
+      std::make_shared<DirectoryStore>(Dir.path()),
+      [](const std::string &Ref, const std::vector<uint8_t> &Bytes) {
+        ASSERT_TRUE(writeFileAtomic(Ref, Bytes).ok());
+      });
 }
 
-TEST(FormatMigration, V1RewrittenAsV2AtFinalize) {
-  TinyWorkload W = makeTinyWorkload(4, 2);
-  auto Input = W.allSlotsInput(3);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  (void)mustRunPersistent(W, Input, Db);
-
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  ASSERT_EQ(Files->size(), 1u);
-  std::string Path = Dir.path() + "/" + (*Files)[0];
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok());
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-
-  // A default (write-back) warm run consumes the v1 file and rewrites
-  // the slot in the indexed format, with the generation advanced.
-  auto Warm = mustRunPersistent(W, Input, Db);
-  EXPECT_TRUE(Warm.Prime.CacheFound);
-  EXPECT_TRUE(isV2CacheFile(Path));
-  auto Upgraded = Db.loadPath(Path);
-  ASSERT_TRUE(Upgraded.ok()) << Upgraded.status().toString();
-  EXPECT_EQ(Upgraded->SourceFormat, 2u);
-  EXPECT_EQ(Upgraded->Generation, AsFile->Generation + 1);
-  EXPECT_TRUE(Upgraded->validate().ok());
+TEST(FormatMigration, V1RejectedThenRewrittenInMemoryStore) {
+  auto Store = std::make_shared<MemoryStore>();
+  expectV1RejectedThenRewritten(
+      Store, [&Store](const std::string &Ref,
+                      const std::vector<uint8_t> &Bytes) {
+        Store->putImage(Ref, Bytes);
+      });
 }
 
 TEST(SameInput, FirstRunGeneratesCache) {
@@ -340,12 +364,15 @@ TEST(SameInput, FirstRunGeneratesCache) {
   EXPECT_FALSE(R.Prime.CacheFound);
   EXPECT_GT(R.Stats.TracesCompiled, 0u);
 
-  PersistentSession ProbeSession(Db);
-  ASSERT_TRUE(Db.exists(R.Stats.TracesCompiled ? 0 : 0) ||
-              true); // Cache presence checked via database scan below.
   auto Files = listDirectory(Dir.path());
   ASSERT_TRUE(Files.ok());
-  EXPECT_EQ(Files->size(), 1u);
+  ASSERT_EQ(Files->size(), 1u);
+  auto View = CacheFileView::openFile(Dir.path() + "/" + Files->front(),
+                                      CacheFileView::Depth::Index);
+  ASSERT_TRUE(View.ok()) << View.status().toString();
+  EXPECT_EQ(View->formatVersion(), v2::Version);
+  EXPECT_EQ(View->generation(), 1u);
+  EXPECT_EQ(View->numTraces(), R.Stats.TracesCompiled);
 }
 
 TEST(SameInput, SecondRunEliminatesTranslation) {

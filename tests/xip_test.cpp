@@ -196,6 +196,60 @@ TEST(Xip, ValidateRunsFallBackToMaterializing) {
   EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
 }
 
+TEST(Xip, RelocatedLibraryFallsBackToCopyWithPicParity) {
+  // A library mapped at a new base needs a rebase, which would dirty
+  // the shared pages, so an XIP database cannot borrow its payload. It
+  // primes through the copy strategy instead and must then match a
+  // plain PIC database run the same way, counter for counter.
+  TinyWorkload W = makeTinyWorkload(4, 3);
+  auto Input = W.allSlotsInput(3);
+  TempDir XipDir, PicDir;
+  CacheDatabase XipDb(XipDir.path()), PicDb(PicDir.path());
+  PersistOptions XipOpts = xipOptions();
+  PersistOptions PicOpts;
+  PicOpts.PositionIndependent = true;
+
+  auto run = [&](const CacheDatabase &Db, const PersistOptions &Opts,
+                 uint64_t AslrSeed) {
+    return workloads::runPersistent(W.Registry, W.App, Input, Db, Opts,
+                                    nullptr, dbi::EngineOptions(),
+                                    loader::BasePolicy::Randomized,
+                                    AslrSeed);
+  };
+  auto ColdX = run(XipDb, XipOpts, 1);
+  auto ColdP = run(PicDb, PicOpts, 1);
+  ASSERT_TRUE(ColdX.ok()) << ColdX.status().toString();
+  ASSERT_TRUE(ColdP.ok()) << ColdP.status().toString();
+
+  XipOpts.WriteBack = false;
+  PicOpts.WriteBack = false;
+  auto WarmX = run(XipDb, XipOpts, 2);
+  auto WarmP = run(PicDb, PicOpts, 2);
+  ASSERT_TRUE(WarmX.ok()) << WarmX.status().toString();
+  ASSERT_TRUE(WarmP.ok()) << WarmP.status().toString();
+
+  ASSERT_TRUE(WarmX->Prime.CacheFound);
+  ASSERT_TRUE(WarmP->Prime.CacheFound);
+  EXPECT_FALSE(WarmX->Prime.XipInstalled);
+  EXPECT_GT(WarmX->Prime.PayloadBytesCopied, 0u);
+  EXPECT_EQ(WarmX->Prime.ModulesInvalidated, 0u);
+  EXPECT_EQ(WarmX->Prime.TracesInstalled, WarmP->Prime.TracesInstalled);
+  EXPECT_EQ(WarmX->Prime.TracesSkipped, WarmP->Prime.TracesSkipped);
+  EXPECT_EQ(WarmX->Prime.ModulesValidated, WarmP->Prime.ModulesValidated);
+  EXPECT_EQ(WarmX->Prime.ModulesInvalidated,
+            WarmP->Prime.ModulesInvalidated);
+  EXPECT_EQ(WarmX->Prime.LinksRestored, WarmP->Prime.LinksRestored);
+  EXPECT_EQ(WarmX->Prime.PayloadBytesCopied,
+            WarmP->Prime.PayloadBytesCopied);
+  EXPECT_EQ(WarmX->Prime.PayloadJobsQueued, WarmP->Prime.PayloadJobsQueued);
+  EXPECT_EQ(WarmX->Stats.TracesCompiled, 0u)
+      << "relocated PIC translations must still be reused";
+
+  EXPECT_TRUE(WarmX->Run.observablyEquals(ColdX->Run));
+  EXPECT_TRUE(WarmX->Run.observablyEquals(WarmP->Run));
+  expectStatsEqual(WarmX->Stats, WarmP->Stats, "relocated-xip-vs-pic");
+}
+
 //===----------------------------------------------------------------------===//
 // Borrowed-pool lifetime: eviction unmaps, never frees.
 //===----------------------------------------------------------------------===//

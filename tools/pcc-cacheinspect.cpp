@@ -64,9 +64,8 @@ int main(int Argc, char **Argv) {
               Path, formatByteSize(*OnDisk).c_str(),
               Structural.ok() ? "ok"
                               : Structural.toString().c_str());
-  std::printf("  format         v%u (%s)\n", File->SourceFormat,
-              File->SourceFormat >= 2 ? "indexed, lazy per-trace CRCs"
-                                      : "legacy, whole-file CRC");
+  std::printf("  format         v%u (indexed, lazy per-trace CRCs)\n",
+              File->SourceFormat);
   std::printf("  engine key     %016llx\n",
               (unsigned long long)File->EngineHash);
   std::printf("  tool key       %016llx  (spec bits 0x%02x)\n",
