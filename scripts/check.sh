@@ -57,10 +57,15 @@
 #                                    legs) under ASan and then TSan,
 #                                    plus a pccrun --record/--replay/
 #                                    --replay-diff round trip over a
-#                                    faulty tiered run; the TSan pass
-#                                    records on 4 workers and replays
-#                                    with --jobs 0 and --jobs 16 to
-#                                    prove worker-count independence
+#                                    faulty tiered run, and a cold and
+#                                    a warm --opt-tier round trip on a
+#                                    fresh faulty tiered store (the
+#                                    promotion counters through the
+#                                    CLI codec and replay); the TSan
+#                                    pass records on 4 workers and
+#                                    replays with --jobs 0 and --jobs
+#                                    16 to prove worker-count
+#                                    independence
 #   scripts/check.sh --opt           optimization-tier soak: runs the
 #                                    opt_tier_test binary under ASan
 #                                    and then TSan, fault-injects a
@@ -206,6 +211,18 @@ if [ "${1:-}" = "--replay" ]; then
     "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 0
     "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 16
     "$SOAK/tools/pccrun" --replay-diff "$TMP/warm.pcrr"
+    # The same round trip with the opt tier on, from a fresh faulty
+    # tiered store so the first recording is cold: replay must
+    # reproduce the finalize promotion counters of both runs.
+    for LOG in opt-cold opt-warm; do
+      "$SOAK/tools/pccrun" --mode persist --db "$TMP/opt-l1" \
+        --l2 "$TMP/opt-l2" --jobs "$REC_JOBS" --opt-tier \
+        --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" \
+        --record "$TMP/$LOG.pcrr" "$TMP/fib.mod"
+    done
+    "$SOAK/tools/pccrun" --replay "$TMP/opt-cold.pcrr" --jobs 0
+    "$SOAK/tools/pccrun" --replay "$TMP/opt-warm.pcrr" --jobs 0
+    "$SOAK/tools/pccrun" --replay "$TMP/opt-warm.pcrr" --jobs 16
     rm -rf "$TMP"
   done
   echo "replay soak passed: $ITERS iteration(s) each under ASan and TSan"

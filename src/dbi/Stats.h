@@ -11,6 +11,17 @@
 /// linking + persistence bookkeeping) vs. translated-code execution vs.
 /// emulation. The compile-event timeline feeds Figure 2(a).
 ///
+/// PCC_ENGINE_STATS_COUNTERS is the single list of EngineStats'
+/// uint64_t counters. The struct members and the EngineStatsCounters
+/// descriptor array are both expanded from it, and every field-by-field
+/// consumer walks that array: the `.pcrr` trailer codec and
+/// replay::diffStats, the tests' all-fields equality helper and
+/// `pccrun --stats`. To add a counter, add one X(Name, Kind) line to
+/// the table: Account if totalCycles() must sum it (then also add it to
+/// vmCycles() or translatedCycles()), Counter otherwise. Appending or
+/// reordering entries changes the `.pcrr` trailer layout, so bump
+/// replay::LogVersion with it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCC_DBI_STATS_H
@@ -31,108 +42,123 @@ struct CompileEvent {
   uint32_t TraceInsts = 0;
 };
 
+/// How a table counter relates to the paper's cycle split.
+enum class StatKind : uint8_t {
+  Account, ///< A cycle account totalCycles() sums.
+  Counter, ///< Anything else: events, bytes, latencies.
+};
+
+/// The EngineStats counter table: one X(Name, Kind) entry per uint64_t
+/// counter, in member (and `.pcrr` trailer) order.
+#define PCC_ENGINE_STATS_COUNTERS(X)                                         \
+  /* Cycle accounts: the nine totalCycles() sums. */                         \
+  X(CompileCycles, Account)           /* Trace translation work. */          \
+  X(DispatchCycles, Account)          /* Code cache exits to the VM. */      \
+  X(LinkCycles, Account)              /* Trace link patching. */             \
+  X(IndirectCycles, Account)          /* Inline indirect-target lookups. */  \
+  X(ExecCycles, Account)              /* Translated guest instructions. */   \
+  X(ToolCycles, Account)              /* Analysis-routine execution. */      \
+  X(EmulationCycles, Account)         /* Syscall interception/emulation. */  \
+  X(PersistCycles, Account)           /* Keys, cache open, demand paging,    \
+                                         cache write-back. */                \
+  X(EvictionCycles, Account)          /* Granular cache eviction work. */    \
+  /* Event counts. */                                                        \
+  X(GuestInstsExecuted, Counter)                                             \
+  X(SyscallCount, Counter)                                                   \
+  X(TracesCompiled, Counter)                                                 \
+  X(TracesLoadedFromCache, Counter)   /* Persisted traces installed. */      \
+  X(TracesReused, Counter)            /* Persisted traces executed. */       \
+  X(TraceExecutions, Counter)                                                \
+  X(LinksCreated, Counter)                                                   \
+  X(CacheFlushes, Counter)                                                   \
+  X(TracesEvicted, Counter)                                                  \
+  X(ModulesInvalidated, Counter)      /* Key conflicts at load time. */      \
+  X(TracePayloadsValidated, Counter)  /* Lazy per-trace CRC checks run at    \
+                                         first materialization. */           \
+  X(TracesDroppedCorrupt, Counter)    /* Persisted traces whose payload      \
+                                         CRC failed; retranslated. */        \
+  X(PersistSharedPageHits, Counter)   /* First-touched persisted pages       \
+                                         already resident in another         \
+                                         process (soft fault, not I/O).      \
+                                         0 unless a shared-residency map     \
+                                         is attached; attaching one          \
+                                         affects XIP and materializing       \
+                                         runs identically. */                \
+  X(TracesVerified, Counter)          /* Traces proven effect-equivalent     \
+                                         at materialization (full            \
+                                         symbolic proof or certificate       \
+                                         check). */                          \
+  X(VerifyFailures, Counter)          /* Traces the validator rejected. */   \
+  X(CertsChecked, Counter)            /* Persisted validation                \
+                                         certificates checked at prime       \
+                                         time. */                            \
+  X(CertChecksFailed, Counter)        /* Of those, rejected (tampered,       \
+                                         stale, or unsound); each falls      \
+                                         back to a full re-proof. */         \
+  X(ProofsReplayed, Counter)          /* Promoted bodies re-proved with      \
+                                         the full symbolic validator at      \
+                                         prime (certificate missing/         \
+                                         rebased or rejected). */            \
+  X(FlagsElided, Counter)             /* Dead pure defs replaced with Nop    \
+                                         by the --opt-flags pass. */         \
+  X(TracesPromoted, Counter)          /* Traces finalize promoted to a       \
+                                         higher optimization generation      \
+                                         (validator-proved). */              \
+  X(SuperblocksFormed, Counter)       /* Fall-through trace chains           \
+                                         merged into one straight-line       \
+                                         body. */                            \
+  X(OptLoadsEliminated, Counter)      /* Redundant loads the promotion       \
+                                         pipeline removed. */                \
+  X(OptConstsFolded, Counter)         /* ALU results constant-folded by      \
+                                         the promotion pipeline. */          \
+  X(OptValidatorRejections, Counter)  /* Promotion attempts the              \
+                                         validator refused; the gen-0        \
+                                         body was kept. */                   \
+  X(OptNopsExecuted, Counter)         /* Nop slots executed inside           \
+                                         promoted (gen >= 1) bodies;         \
+                                         these earn the modeled              \
+                                         execution discount. Gen-0           \
+                                         elision Nops are deliberately       \
+                                         not counted, so unpromoted runs     \
+                                         cost exactly what they did          \
+                                         before the opt tier. */             \
+  X(PersistL1Hits, Counter)           /* Primes satisfied by the local       \
+                                         (L1) tier of a tiered store. */     \
+  X(PersistL2Hits, Counter)           /* Primes satisfied by read-           \
+                                         through from the remote (L2)        \
+                                         tier. */                            \
+  X(PersistRemoteFetches, Counter)    /* Cache files pulled over the         \
+                                         modeled remote link. */             \
+  X(PersistRemoteBytes, Counter)      /* Bytes those fetches moved. */       \
+  X(FirstTraceReadyCycles, Counter)   /* A latency, not an account:          \
+                                         modeled cycles from engine          \
+                                         start until the first trace         \
+                                         began executing (key hashing,       \
+                                         cache open, remote fetch and        \
+                                         compile/materialize charges         \
+                                         included); 0 if no trace ever       \
+                                         ran. */                             \
+  /* Fault tolerance (see PersistDegraded below). */                         \
+  X(PersistStoreFailures, Counter)    /* Failed store operations             \
+                                         (publish attempts included). */     \
+  X(PersistStoreRetries, Counter)     /* Publish attempts retried after      \
+                                         a failure, plus lock-contention     \
+                                         retries the backoff absorbed. */    \
+  X(PersistCandidatesSkippedIo, Counter) /* Candidate caches skipped         \
+                                         because of I/O errors (as           \
+                                         opposed to none existing). */
+
 /// Aggregated counters for one engine run.
 struct EngineStats {
-  /// \name Cycle accounts
-  /// @{
-  uint64_t CompileCycles = 0;      ///< Trace translation work.
-  uint64_t DispatchCycles = 0;     ///< Code cache exits to the VM.
-  uint64_t LinkCycles = 0;         ///< Trace link patching.
-  uint64_t IndirectCycles = 0;     ///< Inline indirect-target lookups.
-  uint64_t ExecCycles = 0;         ///< Translated guest instructions.
-  uint64_t ToolCycles = 0;         ///< Analysis-routine execution.
-  uint64_t EmulationCycles = 0;    ///< Syscall interception/emulation.
-  uint64_t PersistCycles = 0;      ///< Keys, cache open, demand paging,
-                                   ///< cache write-back.
-  uint64_t EvictionCycles = 0;     ///< Granular cache eviction work.
-  /// @}
-
-  /// \name Event counts
-  /// @{
-  uint64_t GuestInstsExecuted = 0;
-  uint64_t SyscallCount = 0;
-  uint64_t TracesCompiled = 0;
-  uint64_t TracesLoadedFromCache = 0; ///< Persisted traces installed.
-  uint64_t TracesReused = 0;          ///< Persisted traces executed.
-  uint64_t TraceExecutions = 0;
-  uint64_t LinksCreated = 0;
-  uint64_t CacheFlushes = 0;
-  uint64_t TracesEvicted = 0;
-  uint64_t ModulesInvalidated = 0;    ///< Key conflicts at load time.
-  uint64_t TracePayloadsValidated = 0; ///< Lazy per-trace CRC checks run
-                                       ///< at first materialization.
-  uint64_t TracesDroppedCorrupt = 0;   ///< Persisted traces whose payload
-                                       ///< CRC failed; retranslated.
-  uint64_t PersistSharedPageHits = 0;  ///< First-touched persisted pages
-                                       ///< already resident in another
-                                       ///< process (soft fault, not I/O).
-                                       ///< 0 unless a shared-residency
-                                       ///< map is attached; attaching one
-                                       ///< affects XIP and materializing
-                                       ///< runs identically.
-  uint64_t TracesVerified = 0;    ///< Traces proven effect-equivalent at
-                                  ///< materialization (full symbolic
-                                  ///< proof or certificate check).
-  uint64_t VerifyFailures = 0;    ///< Traces the validator rejected.
-  uint64_t CertsChecked = 0;      ///< Persisted validation certificates
-                                  ///< checked at prime time.
-  uint64_t CertChecksFailed = 0;  ///< Of those, rejected (tampered,
-                                  ///< stale, or unsound); each falls
-                                  ///< back to a full re-proof.
-  uint64_t ProofsReplayed = 0;    ///< Promoted bodies re-proved with the
-                                  ///< full symbolic validator at prime
-                                  ///< (certificate missing/rebased or
-                                  ///< rejected).
-  uint64_t FlagsElided = 0;       ///< Dead pure defs replaced with Nop
-                                  ///< by the --opt-flags pass.
-  uint64_t TracesPromoted = 0;    ///< Traces finalize promoted to a
-                                  ///< higher optimization generation
-                                  ///< (validator-proved).
-  uint64_t SuperblocksFormed = 0; ///< Fall-through trace chains merged
-                                  ///< into one straight-line body.
-  uint64_t OptLoadsEliminated = 0; ///< Redundant loads the promotion
-                                   ///< pipeline removed.
-  uint64_t OptConstsFolded = 0;    ///< ALU results constant-folded by
-                                   ///< the promotion pipeline.
-  uint64_t OptValidatorRejections = 0; ///< Promotion attempts the
-                                       ///< validator refused; the gen-0
-                                       ///< body was kept.
-  uint64_t OptNopsExecuted = 0;   ///< Nop slots executed inside
-                                  ///< promoted (gen >= 1) bodies; these
-                                  ///< earn the modeled execution
-                                  ///< discount. Gen-0 elision Nops are
-                                  ///< deliberately not counted, so
-                                  ///< unpromoted runs cost exactly what
-                                  ///< they did before the opt tier.
-  uint64_t PersistL1Hits = 0;     ///< Primes satisfied by the local
-                                  ///< (L1) tier of a tiered store.
-  uint64_t PersistL2Hits = 0;     ///< Primes satisfied by read-through
-                                  ///< from the remote (L2) tier.
-  uint64_t PersistRemoteFetches = 0; ///< Cache files pulled over the
-                                     ///< modeled remote link.
-  uint64_t PersistRemoteBytes = 0;   ///< Bytes those fetches moved.
-  uint64_t FirstTraceReadyCycles = 0; ///< Modeled cycles from engine
-                                      ///< start until the first trace
-                                      ///< began executing (key hashing,
-                                      ///< cache open, remote fetch and
-                                      ///< compile/materialize charges
-                                      ///< included); 0 if no trace ever
-                                      ///< ran.
-  /// @}
+#define PCC_STATS_MEMBER(Name, Kind) uint64_t Name = 0;
+  PCC_ENGINE_STATS_COUNTERS(PCC_STATS_MEMBER)
+#undef PCC_STATS_MEMBER
 
   /// \name Fault tolerance
   /// Persistence is an accelerator: store failures are absorbed here,
   /// never surfaced as run failures (the paper's Oracle deployment
   /// cannot afford a worker dying to a full disk).
   /// @{
-  uint64_t PersistStoreFailures = 0; ///< Failed store operations
-                                     ///< (publish attempts included).
-  uint64_t PersistStoreRetries = 0;  ///< Publish attempts retried after
-                                     ///< a failure, plus lock-contention
-                                     ///< retries the backoff absorbed.
-  uint64_t PersistCandidatesSkippedIo = 0; ///< Candidate caches skipped
-                                           ///< because of I/O errors (as
-                                           ///< opposed to none existing).
   bool PersistDegraded = false; ///< Session tripped its circuit breaker
                                 ///< and fell back to in-memory-only.
   std::string PersistDegradeReason; ///< What tripped the breaker.
@@ -157,6 +183,21 @@ struct EngineStats {
   uint64_t totalCycles() const {
     return vmCycles() + translatedCycles() + EmulationCycles;
   }
+};
+
+/// One table counter, for consumers that walk every field.
+struct StatsCounter {
+  const char *Name;
+  StatKind Kind;
+  uint64_t EngineStats::*Field;
+};
+
+/// Every table counter, in table order.
+inline constexpr StatsCounter EngineStatsCounters[] = {
+#define PCC_STATS_DESCRIPTOR(Name, Kind)                                      \
+  {#Name, StatKind::Kind, &EngineStats::Name},
+    PCC_ENGINE_STATS_COUNTERS(PCC_STATS_DESCRIPTOR)
+#undef PCC_STATS_DESCRIPTOR
 };
 
 } // namespace dbi

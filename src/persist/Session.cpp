@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <iterator>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -917,7 +919,44 @@ PublishOutcome publishWithBreaker(CacheStore &Store,
   return Out;
 }
 
+/// Folds one finalize pass's promotion and publish outcomes into
+/// \p Stats (when given) and returns the FailFast error, if any. The
+/// synchronous finalize() and wait() both end here, which is what keeps
+/// their recorded stats bit-identical.
+Status mergeFinalizeOutcome(const OptOutcome &Opt,
+                            const PublishOutcome &Publish, bool FailFast,
+                            dbi::EngineStats *Stats) {
+  if (Stats) {
+    Stats->TracesPromoted += Opt.TracesPromoted;
+    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
+    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
+    Stats->OptConstsFolded += Opt.ConstsFolded;
+    Stats->OptValidatorRejections += Opt.Rejections;
+    Stats->PersistStoreRetries += Publish.StoreRetries;
+    Stats->PersistStoreFailures += Publish.StoreFailures;
+  }
+  if (Publish.Succeeded)
+    return Status::success();
+  if (FailFast)
+    return Publish.LastError;
+  if (Stats) {
+    Stats->PersistDegraded = true;
+    Stats->PersistDegradeReason = Publish.LastError.toString();
+  }
+  return Status::success();
+}
+
 } // namespace
+
+/// A background finalize's outcomes as the worker produced them; wait()
+/// reads them once Done is set.
+struct PersistentSession::FinalizeState {
+  std::mutex Mutex;
+  std::condition_variable Completed;
+  bool Done = false;
+  OptOutcome Opt;
+  PublishOutcome Publish;
+};
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
@@ -1284,15 +1323,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
                              std::move(*FilePtr));
       {
         std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
-        FinPtr->Succeeded = Out.Succeeded;
-        FinPtr->LastError = Out.LastError;
-        FinPtr->StoreFailures = Out.StoreFailures;
-        FinPtr->StoreRetries = Out.StoreRetries;
-        FinPtr->TracesPromoted = Opt.TracesPromoted;
-        FinPtr->SuperblocksFormed = Opt.SuperblocksFormed;
-        FinPtr->OptLoadsEliminated = Opt.LoadsEliminated;
-        FinPtr->OptConstsFolded = Opt.ConstsFolded;
-        FinPtr->OptValidatorRejections = Opt.Rejections;
+        FinPtr->Opt = Opt;
+        FinPtr->Publish = std::move(Out);
         FinPtr->Done = true;
       }
       FinPtr->Completed.notify_all();
@@ -1305,24 +1337,10 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     promoteCacheFile(File, OptSources, Opts.OptMaxGen,
                      Opts.OptMaxSuperblockInsts, Opts.EmitCertificates,
                      Opt);
-  Stats.TracesPromoted += Opt.TracesPromoted;
-  Stats.SuperblocksFormed += Opt.SuperblocksFormed;
-  Stats.OptLoadsEliminated += Opt.LoadsEliminated;
-  Stats.OptConstsFolded += Opt.ConstsFolded;
-  Stats.OptValidatorRejections += Opt.Rejections;
-
   PublishOutcome Out =
       publishWithBreaker(Store, Opts.StoreAsPath, LookupKey,
                          BaseGeneration, Attempts, std::move(File));
-  Stats.PersistStoreRetries += Out.StoreRetries;
-  Stats.PersistStoreFailures += Out.StoreFailures;
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  Stats.PersistDegraded = true;
-  Stats.PersistDegradeReason = Out.LastError.toString();
-  return Status::success();
+  return mergeFinalizeOutcome(Opt, Out, Opts.FailFast, &Stats);
 }
 
 Status PersistentSession::wait(dbi::EngineStats *Stats) {
@@ -1346,40 +1364,13 @@ Status PersistentSession::wait(dbi::EngineStats *Stats) {
   }
   if (!Fin)
     return Status::success();
-  PublishOutcome Out;
-  OptOutcome Opt;
   {
     std::unique_lock<std::mutex> Lock(Fin->Mutex);
     Fin->Completed.wait(Lock, [&] { return Fin->Done; });
-    Out.Succeeded = Fin->Succeeded;
-    Out.LastError = Fin->LastError;
-    Out.StoreFailures = Fin->StoreFailures;
-    Out.StoreRetries = Fin->StoreRetries;
-    Opt.TracesPromoted = Fin->TracesPromoted;
-    Opt.SuperblocksFormed = Fin->SuperblocksFormed;
-    Opt.LoadsEliminated = Fin->OptLoadsEliminated;
-    Opt.ConstsFolded = Fin->OptConstsFolded;
-    Opt.Rejections = Fin->OptValidatorRejections;
   }
-  Fin.reset();
-  if (Stats) {
-    Stats->PersistStoreRetries += Out.StoreRetries;
-    Stats->PersistStoreFailures += Out.StoreFailures;
-    Stats->TracesPromoted += Opt.TracesPromoted;
-    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
-    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
-    Stats->OptConstsFolded += Opt.ConstsFolded;
-    Stats->OptValidatorRejections += Opt.Rejections;
-  }
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  if (Stats) {
-    Stats->PersistDegraded = true;
-    Stats->PersistDegradeReason = Out.LastError.toString();
-  }
-  return Status::success();
+  std::shared_ptr<FinalizeState> Finished = std::move(Fin);
+  return mergeFinalizeOutcome(Finished->Opt, Finished->Publish,
+                              Opts.FailFast, Stats);
 }
 
 ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(

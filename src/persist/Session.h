@@ -48,9 +48,7 @@
 #include "persist/Residency.h"
 #include "support/ThreadPool.h"
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -296,24 +294,9 @@ private:
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
 
-  /// Outcome slot for a background finalize publish.
-  struct FinalizeState {
-    std::mutex Mutex;
-    std::condition_variable Completed;
-    bool Done = false;
-    bool Succeeded = false;
-    Status LastError = Status::success();
-    uint64_t StoreFailures = 0;
-    uint64_t StoreRetries = 0;
-    /// Optimization-tier outcome of the background promotion pass,
-    /// merged into EngineStats at wait() exactly as the synchronous
-    /// path records it.
-    uint64_t TracesPromoted = 0;
-    uint64_t SuperblocksFormed = 0;
-    uint64_t OptLoadsEliminated = 0;
-    uint64_t OptConstsFolded = 0;
-    uint64_t OptValidatorRejections = 0;
-  };
+  /// Outcome slot for a background finalize publish (defined next to
+  /// the outcome types it stores, in Session.cpp).
+  struct FinalizeState;
   std::shared_ptr<FinalizeState> Fin;
 
   /// State carried from prime() to finalize(). The view is shared

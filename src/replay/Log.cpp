@@ -14,103 +14,35 @@ namespace {
 
 constexpr size_t NumFaultOps = static_cast<size_t>(FaultOp::OpCount);
 
-void writeStats(ByteWriter &W, const dbi::EngineStats &S) {
-  W.writeU64(S.CompileCycles);
-  W.writeU64(S.DispatchCycles);
-  W.writeU64(S.LinkCycles);
-  W.writeU64(S.IndirectCycles);
-  W.writeU64(S.ExecCycles);
-  W.writeU64(S.ToolCycles);
-  W.writeU64(S.EmulationCycles);
-  W.writeU64(S.PersistCycles);
-  W.writeU64(S.EvictionCycles);
-  W.writeU64(S.GuestInstsExecuted);
-  W.writeU64(S.SyscallCount);
-  W.writeU64(S.TracesCompiled);
-  W.writeU64(S.TracesLoadedFromCache);
-  W.writeU64(S.TracesReused);
-  W.writeU64(S.TraceExecutions);
-  W.writeU64(S.LinksCreated);
-  W.writeU64(S.CacheFlushes);
-  W.writeU64(S.TracesEvicted);
-  W.writeU64(S.ModulesInvalidated);
-  W.writeU64(S.TracePayloadsValidated);
-  W.writeU64(S.TracesDroppedCorrupt);
-  W.writeU64(S.PersistSharedPageHits);
-  W.writeU64(S.TracesVerified);
-  W.writeU64(S.VerifyFailures);
-  W.writeU64(S.CertsChecked);
-  W.writeU64(S.CertChecksFailed);
-  W.writeU64(S.ProofsReplayed);
-  W.writeU64(S.FlagsElided);
-  W.writeU64(S.PersistL1Hits);
-  W.writeU64(S.PersistL2Hits);
-  W.writeU64(S.PersistRemoteFetches);
-  W.writeU64(S.PersistRemoteBytes);
-  W.writeU64(S.FirstTraceReadyCycles);
-  W.writeU64(S.PersistStoreFailures);
-  W.writeU64(S.PersistStoreRetries);
-  W.writeU64(S.PersistCandidatesSkippedIo);
-  W.writeU8(S.PersistDegraded ? 1 : 0);
-  W.writeString(S.PersistDegradeReason);
-  W.writeU32(static_cast<uint32_t>(S.Timeline.size()));
-  for (const dbi::CompileEvent &E : S.Timeline) {
+void writeStats(ByteWriter &W, const dbi::EngineStats &Stats) {
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    W.writeU64(Stats.*C.Field);
+  W.writeU8(Stats.PersistDegraded ? 1 : 0);
+  W.writeString(Stats.PersistDegradeReason);
+  W.writeU32(static_cast<uint32_t>(Stats.Timeline.size()));
+  for (const dbi::CompileEvent &E : Stats.Timeline) {
     W.writeU64(E.GuestInstsExecuted);
     W.writeU32(E.TraceInsts);
   }
 }
 
 dbi::EngineStats readStats(ByteReader &R) {
-  dbi::EngineStats S;
-  S.CompileCycles = R.readU64();
-  S.DispatchCycles = R.readU64();
-  S.LinkCycles = R.readU64();
-  S.IndirectCycles = R.readU64();
-  S.ExecCycles = R.readU64();
-  S.ToolCycles = R.readU64();
-  S.EmulationCycles = R.readU64();
-  S.PersistCycles = R.readU64();
-  S.EvictionCycles = R.readU64();
-  S.GuestInstsExecuted = R.readU64();
-  S.SyscallCount = R.readU64();
-  S.TracesCompiled = R.readU64();
-  S.TracesLoadedFromCache = R.readU64();
-  S.TracesReused = R.readU64();
-  S.TraceExecutions = R.readU64();
-  S.LinksCreated = R.readU64();
-  S.CacheFlushes = R.readU64();
-  S.TracesEvicted = R.readU64();
-  S.ModulesInvalidated = R.readU64();
-  S.TracePayloadsValidated = R.readU64();
-  S.TracesDroppedCorrupt = R.readU64();
-  S.PersistSharedPageHits = R.readU64();
-  S.TracesVerified = R.readU64();
-  S.VerifyFailures = R.readU64();
-  S.CertsChecked = R.readU64();
-  S.CertChecksFailed = R.readU64();
-  S.ProofsReplayed = R.readU64();
-  S.FlagsElided = R.readU64();
-  S.PersistL1Hits = R.readU64();
-  S.PersistL2Hits = R.readU64();
-  S.PersistRemoteFetches = R.readU64();
-  S.PersistRemoteBytes = R.readU64();
-  S.FirstTraceReadyCycles = R.readU64();
-  S.PersistStoreFailures = R.readU64();
-  S.PersistStoreRetries = R.readU64();
-  S.PersistCandidatesSkippedIo = R.readU64();
-  S.PersistDegraded = R.readU8() != 0;
-  S.PersistDegradeReason = R.readString();
+  dbi::EngineStats Stats;
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    Stats.*C.Field = R.readU64();
+  Stats.PersistDegraded = R.readU8() != 0;
+  Stats.PersistDegradeReason = R.readString();
   uint32_t Events = R.readU32();
   // Cap pre-reservation against a hostile length field; push_back
   // fails naturally when the reader runs dry.
-  S.Timeline.reserve(std::min<uint32_t>(Events, 1u << 16));
+  Stats.Timeline.reserve(std::min<uint32_t>(Events, 1u << 16));
   for (uint32_t I = 0; I != Events && !R.failed(); ++I) {
     dbi::CompileEvent E;
     E.GuestInstsExecuted = R.readU64();
     E.TraceInsts = R.readU32();
-    S.Timeline.push_back(E);
+    Stats.Timeline.push_back(E);
   }
-  return S;
+  return Stats;
 }
 
 void writeRunResult(ByteWriter &W, const vm::RunResult &Run) {
@@ -164,6 +96,10 @@ std::vector<uint8_t> replay::serializeLog(const RecordedRun &Run) {
   Body.writeU8(Run.Config.WriteBack ? 1 : 0);
   Body.writeU8(Run.Config.ValidateSemantic ? 1 : 0);
   Body.writeU8(Run.Config.Tiered ? 1 : 0);
+  Body.writeU8(Run.Config.OptTier ? 1 : 0);
+  Body.writeU32(Run.Config.OptHeatThreshold);
+  Body.writeU32(Run.Config.OptMaxGen);
+  Body.writeU32(Run.Config.OptMaxSuperblockInsts);
   Body.writeU8(Run.Config.BasePolicy);
   Body.writeU64(Run.Config.AslrSeed);
   Body.writeString(Run.Config.FaultPlan);
@@ -254,6 +190,10 @@ ErrorOr<RecordedRun> replay::deserializeLog(
   Run.Config.WriteBack = Body.readU8() != 0;
   Run.Config.ValidateSemantic = Body.readU8() != 0;
   Run.Config.Tiered = Body.readU8() != 0;
+  Run.Config.OptTier = Body.readU8() != 0;
+  Run.Config.OptHeatThreshold = Body.readU32();
+  Run.Config.OptMaxGen = Body.readU32();
+  Run.Config.OptMaxSuperblockInsts = Body.readU32();
   Run.Config.BasePolicy = Body.readU8();
   Run.Config.AslrSeed = Body.readU64();
   Run.Config.FaultPlan = Body.readString();
@@ -309,48 +249,9 @@ std::string replay::diffStats(const dbi::EngineStats &A,
     return formatString("%s: recorded %llu, replayed %llu", Name,
                         (unsigned long long)X, (unsigned long long)Y);
   };
-#define PCC_CHECK_FIELD(F)                                             \
-  do {                                                                 \
-    if (A.F != B.F)                                                    \
-      return Diff(#F, A.F, B.F);                                       \
-  } while (0)
-  PCC_CHECK_FIELD(CompileCycles);
-  PCC_CHECK_FIELD(DispatchCycles);
-  PCC_CHECK_FIELD(LinkCycles);
-  PCC_CHECK_FIELD(IndirectCycles);
-  PCC_CHECK_FIELD(ExecCycles);
-  PCC_CHECK_FIELD(ToolCycles);
-  PCC_CHECK_FIELD(EmulationCycles);
-  PCC_CHECK_FIELD(PersistCycles);
-  PCC_CHECK_FIELD(EvictionCycles);
-  PCC_CHECK_FIELD(GuestInstsExecuted);
-  PCC_CHECK_FIELD(SyscallCount);
-  PCC_CHECK_FIELD(TracesCompiled);
-  PCC_CHECK_FIELD(TracesLoadedFromCache);
-  PCC_CHECK_FIELD(TracesReused);
-  PCC_CHECK_FIELD(TraceExecutions);
-  PCC_CHECK_FIELD(LinksCreated);
-  PCC_CHECK_FIELD(CacheFlushes);
-  PCC_CHECK_FIELD(TracesEvicted);
-  PCC_CHECK_FIELD(ModulesInvalidated);
-  PCC_CHECK_FIELD(TracePayloadsValidated);
-  PCC_CHECK_FIELD(TracesDroppedCorrupt);
-  PCC_CHECK_FIELD(PersistSharedPageHits);
-  PCC_CHECK_FIELD(TracesVerified);
-  PCC_CHECK_FIELD(VerifyFailures);
-  PCC_CHECK_FIELD(CertsChecked);
-  PCC_CHECK_FIELD(CertChecksFailed);
-  PCC_CHECK_FIELD(ProofsReplayed);
-  PCC_CHECK_FIELD(FlagsElided);
-  PCC_CHECK_FIELD(PersistL1Hits);
-  PCC_CHECK_FIELD(PersistL2Hits);
-  PCC_CHECK_FIELD(PersistRemoteFetches);
-  PCC_CHECK_FIELD(PersistRemoteBytes);
-  PCC_CHECK_FIELD(FirstTraceReadyCycles);
-  PCC_CHECK_FIELD(PersistStoreFailures);
-  PCC_CHECK_FIELD(PersistStoreRetries);
-  PCC_CHECK_FIELD(PersistCandidatesSkippedIo);
-#undef PCC_CHECK_FIELD
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    if (A.*C.Field != B.*C.Field)
+      return Diff(C.Name, A.*C.Field, B.*C.Field);
   if (A.PersistDegraded != B.PersistDegraded)
     return formatString("PersistDegraded: recorded %d, replayed %d",
                         A.PersistDegraded ? 1 : 0,

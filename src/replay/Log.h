@@ -50,7 +50,11 @@ inline constexpr uint32_t LogMagic = 0x52524350;
 /// Bump on any layout change to the body or trailer.
 /// v2: EngineStats gained the certificate counters (CertsChecked,
 /// CertChecksFailed, ProofsReplayed).
-inline constexpr uint32_t LogVersion = 2;
+/// v3: the stats trailer is written from dbi::EngineStatsCounters, which
+/// adds the six opt-tier counters v2 dropped, and the config records the
+/// opt-tier finalize settings (OptTier, OptHeatThreshold, OptMaxGen,
+/// OptMaxSuperblockInsts).
+inline constexpr uint32_t LogVersion = 3;
 
 /// The run configuration knobs that affect engine-visible results.
 struct RecordedConfig {
@@ -62,6 +66,11 @@ struct RecordedConfig {
   bool WriteBack = true;
   bool ValidateSemantic = false;
   bool Tiered = false;  ///< Store was L1 + remote L2.
+  /// Finalize-time opt tier: these set the run's promotion counters.
+  bool OptTier = false;
+  uint32_t OptHeatThreshold = 0;
+  uint32_t OptMaxGen = 0;
+  uint32_t OptMaxSuperblockInsts = 0;
   uint8_t BasePolicy = 0; ///< loader::BasePolicy.
   uint64_t AslrSeed = 0;
   /// FaultInjector::planString() at record start: the armed rules with
@@ -129,8 +138,9 @@ ErrorOr<RecordedRun> deserializeLog(const std::vector<uint8_t> &Bytes);
 
 /// First difference between recorded and replayed stats as a
 /// human-readable "field: recorded X, replayed Y" string; "" when
-/// bit-identical. PersistDegradeReason is compared by presence only
-/// (the message embeds host paths).
+/// bit-identical. Every dbi::EngineStatsCounters entry is compared,
+/// then PersistDegraded and the Timeline; PersistDegradeReason is
+/// compared by presence only (the message embeds host paths).
 std::string diffStats(const dbi::EngineStats &Recorded,
                       const dbi::EngineStats &Replayed);
 

@@ -141,6 +141,10 @@ replay::recordRun(const loader::ModuleRegistry &Registry,
   Run.Config.WriteBack = PersistOpts.WriteBack;
   Run.Config.ValidateSemantic = PersistOpts.ValidateSemantic;
   Run.Config.Tiered = Spec.Tiered;
+  Run.Config.OptTier = PersistOpts.OptTier;
+  Run.Config.OptHeatThreshold = PersistOpts.OptHeatThreshold;
+  Run.Config.OptMaxGen = PersistOpts.OptMaxGen;
+  Run.Config.OptMaxSuperblockInsts = PersistOpts.OptMaxSuperblockInsts;
   Run.Config.BasePolicy = static_cast<uint8_t>(Spec.Policy);
   Run.Config.AslrSeed = Spec.AslrSeed;
   // Snapshot of the armed rules *with their consumed state*: replay

@@ -193,6 +193,10 @@ ErrorOr<ReplayOutcome> replay::replayRun(const RecordedRun &Rec,
     POpts.PositionIndependent = Rec.Config.PositionIndependent;
     POpts.ExecuteInPlace = Rec.Config.ExecuteInPlace;
     POpts.WriteBack = Rec.Config.WriteBack;
+    POpts.OptTier = Rec.Config.OptTier;
+    POpts.OptHeatThreshold = Rec.Config.OptHeatThreshold;
+    POpts.OptMaxGen = Rec.Config.OptMaxGen;
+    POpts.OptMaxSuperblockInsts = Rec.Config.OptMaxSuperblockInsts;
     POpts.ValidateSemantic =
         Rec.Config.ValidateSemantic || Opts.ForceValidate;
     POpts.Pool = Opts.Pool;

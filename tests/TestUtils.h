@@ -8,6 +8,7 @@
 #ifndef PCC_TESTS_TESTUTILS_H
 #define PCC_TESTS_TESTUTILS_H
 
+#include "dbi/Stats.h"
 #include "support/FileSystem.h"
 #include "workloads/Codegen.h"
 #include "workloads/Runner.h"
@@ -106,6 +107,26 @@ inline TinyWorkload makeTinyWorkload(uint32_t NumLocal = 4,
   }
   W.App = workloads::buildExecutable(Def);
   return W;
+}
+
+/// Every EngineStats counter in the table plus the degrade state and the
+/// compile-event timeline: the XIP/materializing and worker-count
+/// contracts are bit-identity, not approximate agreement.
+inline void expectStatsEqual(const dbi::EngineStats &A,
+                             const dbi::EngineStats &B,
+                             const std::string &Label) {
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    EXPECT_EQ(A.*C.Field, B.*C.Field) << Label << ": " << C.Name;
+  EXPECT_EQ(A.PersistDegraded, B.PersistDegraded) << Label;
+  EXPECT_EQ(A.PersistDegradeReason, B.PersistDegradeReason) << Label;
+  ASSERT_EQ(A.Timeline.size(), B.Timeline.size()) << Label;
+  for (size_t I = 0; I < A.Timeline.size(); ++I) {
+    EXPECT_EQ(A.Timeline[I].GuestInstsExecuted,
+              B.Timeline[I].GuestInstsExecuted)
+        << Label << " timeline[" << I << "]";
+    EXPECT_EQ(A.Timeline[I].TraceInsts, B.Timeline[I].TraceInsts)
+        << Label << " timeline[" << I << "]";
+  }
 }
 
 } // namespace tests

@@ -701,3 +701,21 @@ TEST(NopSkip, SkipTableMarksNextLiveSlotAndNopPrefix) {
     EXPECT_EQ(Skip[I].NopsBefore, NopsBefore[I]) << I;
   }
 }
+
+//===----------------------------------------------------------------------===//
+// The EngineStats counter table.
+//===----------------------------------------------------------------------===//
+
+TEST(StatsTable, AccountsAreExactlyWhatTotalCyclesSums) {
+  // Distinct powers of two: any account totalCycles() skips, or any
+  // non-account it sums, changes the total.
+  EngineStats S;
+  uint64_t Accounts = 0;
+  unsigned Bit = 0;
+  for (const StatsCounter &C : EngineStatsCounters) {
+    S.*C.Field = uint64_t(1) << Bit++;
+    if (C.Kind == StatKind::Account)
+      Accounts += S.*C.Field;
+  }
+  EXPECT_EQ(S.totalCycles(), Accounts);
+}

@@ -112,6 +112,38 @@ TEST(ReplayLog, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(Parsed->MemoryDigest, Rec->MemoryDigest);
 }
 
+TEST(ReplayLog, EveryTableCounterSurvivesTheCodec) {
+  FaultScope Scope;
+  TinyWorkload W = makeTinyWorkload(2, 0);
+  TempDir Dir;
+  persist::CacheDatabase Db(Dir.path());
+  auto Rec = record(W, W.allSlotsInput(1), Db);
+  ASSERT_TRUE(Rec.ok()) << Rec.status().toString();
+
+  // A distinct value per counter: a dropped, duplicated or swapped
+  // field cannot round-trip.
+  uint64_t Value = 0x1000;
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    Rec->Stats.*C.Field = Value++;
+  auto Parsed = deserializeLog(serializeLog(*Rec));
+  ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
+  Value = 0x1000;
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    EXPECT_EQ(Parsed->Stats.*C.Field, Value++) << C.Name;
+}
+
+TEST(ReplayLog, DiffStatsNamesEveryDivergentCounter) {
+  dbi::EngineStats Recorded;
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters) {
+    dbi::EngineStats Replayed = Recorded;
+    ++(Replayed.*C.Field);
+    std::string Prefix = std::string(C.Name) + ": ";
+    EXPECT_EQ(diffStats(Recorded, Replayed).substr(0, Prefix.size()),
+              Prefix);
+  }
+  EXPECT_EQ(diffStats(Recorded, Recorded), "");
+}
+
 TEST(ReplayLog, TamperedLogsAreRejectedWithTheRightErrorClass) {
   FaultScope Scope;
   TinyWorkload W = makeTinyWorkload(2, 0);
@@ -206,6 +238,37 @@ TEST(Replay, AnyWorkerCountReplaysARecordedParallelRun) {
   ReplayOptions Wide;
   Wide.Pool = &Sixteen;
   expectCleanReplay(*Rec, Wide);
+}
+
+TEST(Replay, OptTierRunsReplayTheirPromotions) {
+  FaultScope Scope;
+  TinyWorkload W = makeTinyWorkload(3, 0, 77);
+  TempDir Dir;
+  persist::CacheDatabase Db(Dir.path());
+  auto Input = W.allSlotsInput(6);
+  ASSERT_TRUE(
+      workloads::runPersistent(W.Registry, W.App, Input, Db).ok());
+
+  // A warm run that promotes at finalize: the opt-tier settings travel
+  // in the log, so the replay promotes the same traces.
+  persist::PersistOptions POpts;
+  POpts.OptTier = true;
+  auto Rec = record(W, Input, Db, POpts);
+  ASSERT_TRUE(Rec.ok()) << Rec.status().toString();
+  ASSERT_GT(Rec->Stats.TracesPromoted, 0u);
+  auto Parsed = deserializeLog(serializeLog(*Rec));
+  ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
+
+  support::ThreadPool Four(4);
+  ReplayOptions OnFour;
+  OnFour.Pool = &Four;
+  for (const ReplayOptions &Opts : {ReplayOptions(), OnFour}) {
+    auto Out = replayRun(*Parsed, Opts);
+    ASSERT_TRUE(Out.ok()) << Out.status().toString();
+    EXPECT_EQ(diffStats(Rec->Stats, Out->Stats), "");
+    EXPECT_EQ(Out->Stats.TracesPromoted, Rec->Stats.TracesPromoted);
+    EXPECT_EQ(compareToRecording(*Parsed, *Out), "");
+  }
 }
 
 TEST(Replay, FaultStormsReplayAcrossTwentySeeds) {

@@ -48,58 +48,12 @@
 
 using namespace pcc;
 using namespace pcc::persist;
+using tests::expectStatsEqual;
 using tests::makeTinyWorkload;
 using tests::TempDir;
 using tests::TinyWorkload;
 
 namespace {
-
-/// Every scalar field plus the compile-event timeline: the XIP/
-/// materializing contract is bit-identity, not approximate agreement.
-/// Includes PersistSharedPageHits — the one counter a residency probe
-/// can move — precisely because both paths must move it identically.
-void expectStatsEqual(const dbi::EngineStats &A, const dbi::EngineStats &B,
-                      const std::string &Label) {
-  EXPECT_EQ(A.CompileCycles, B.CompileCycles) << Label;
-  EXPECT_EQ(A.DispatchCycles, B.DispatchCycles) << Label;
-  EXPECT_EQ(A.LinkCycles, B.LinkCycles) << Label;
-  EXPECT_EQ(A.IndirectCycles, B.IndirectCycles) << Label;
-  EXPECT_EQ(A.ExecCycles, B.ExecCycles) << Label;
-  EXPECT_EQ(A.ToolCycles, B.ToolCycles) << Label;
-  EXPECT_EQ(A.EmulationCycles, B.EmulationCycles) << Label;
-  EXPECT_EQ(A.PersistCycles, B.PersistCycles) << Label;
-  EXPECT_EQ(A.EvictionCycles, B.EvictionCycles) << Label;
-  EXPECT_EQ(A.GuestInstsExecuted, B.GuestInstsExecuted) << Label;
-  EXPECT_EQ(A.SyscallCount, B.SyscallCount) << Label;
-  EXPECT_EQ(A.TracesCompiled, B.TracesCompiled) << Label;
-  EXPECT_EQ(A.TracesLoadedFromCache, B.TracesLoadedFromCache) << Label;
-  EXPECT_EQ(A.TracesReused, B.TracesReused) << Label;
-  EXPECT_EQ(A.TraceExecutions, B.TraceExecutions) << Label;
-  EXPECT_EQ(A.LinksCreated, B.LinksCreated) << Label;
-  EXPECT_EQ(A.CacheFlushes, B.CacheFlushes) << Label;
-  EXPECT_EQ(A.TracesEvicted, B.TracesEvicted) << Label;
-  EXPECT_EQ(A.ModulesInvalidated, B.ModulesInvalidated) << Label;
-  EXPECT_EQ(A.TracePayloadsValidated, B.TracePayloadsValidated) << Label;
-  EXPECT_EQ(A.TracesDroppedCorrupt, B.TracesDroppedCorrupt) << Label;
-  EXPECT_EQ(A.PersistSharedPageHits, B.PersistSharedPageHits) << Label;
-  EXPECT_EQ(A.TracesVerified, B.TracesVerified) << Label;
-  EXPECT_EQ(A.VerifyFailures, B.VerifyFailures) << Label;
-  EXPECT_EQ(A.FlagsElided, B.FlagsElided) << Label;
-  EXPECT_EQ(A.PersistStoreFailures, B.PersistStoreFailures) << Label;
-  EXPECT_EQ(A.PersistStoreRetries, B.PersistStoreRetries) << Label;
-  EXPECT_EQ(A.PersistCandidatesSkippedIo, B.PersistCandidatesSkippedIo)
-      << Label;
-  EXPECT_EQ(A.PersistDegraded, B.PersistDegraded) << Label;
-  EXPECT_EQ(A.PersistDegradeReason, B.PersistDegradeReason) << Label;
-  ASSERT_EQ(A.Timeline.size(), B.Timeline.size()) << Label;
-  for (size_t I = 0; I < A.Timeline.size(); ++I) {
-    EXPECT_EQ(A.Timeline[I].GuestInstsExecuted,
-              B.Timeline[I].GuestInstsExecuted)
-        << Label << " timeline[" << I << "]";
-    EXPECT_EQ(A.Timeline[I].TraceInsts, B.Timeline[I].TraceInsts)
-        << Label << " timeline[" << I << "]";
-  }
-}
 
 PersistOptions xipOptions() {
   PersistOptions Opts;

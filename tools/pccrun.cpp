@@ -48,7 +48,9 @@
 //                          guest code at first decode and finalize
 //                          re-proves every trace it writes back
 //     --aslr SEED          randomized library bases
-//     --stats              print the engine cycle breakdown
+//     --stats              print every EngineStats counter: the cycle
+//                          accounts as shares of the run, then one
+//                          "Name value" line per other counter
 //     --disasm             print the app module and exit
 //     --fault-plan PLAN    arm the fault injector for the run (see
 //                          support/FaultInjector.h for the grammar,
@@ -218,60 +220,22 @@ ErrorOr<std::vector<uint8_t>> parseWork(const std::string &Spec) {
   return workloads::encodeWorkload(Items);
 }
 
+/// Every EngineStats table counter: the cycle accounts as shares of the
+/// run (they sum to 100%), then one "Name value" line per other
+/// counter, zeros included.
 void printStats(const dbi::EngineStats &S) {
-  auto line = [&](const char *Name, uint64_t Cycles) {
-    std::printf("  %-22s %12llu cycles (%5.1f%%)\n", Name,
-                (unsigned long long)Cycles,
-                100.0 * static_cast<double>(Cycles) /
-                    static_cast<double>(S.totalCycles()));
-  };
+  double Total = static_cast<double>(S.totalCycles());
   std::printf("engine cycle breakdown:\n");
-  line("translation", S.CompileCycles);
-  line("dispatch", S.DispatchCycles);
-  line("linking", S.LinkCycles);
-  line("persistence", S.PersistCycles);
-  line("translated exec", S.ExecCycles);
-  line("tool analysis", S.ToolCycles);
-  line("indirect lookups", S.IndirectCycles);
-  line("syscall emulation", S.EmulationCycles);
-  std::printf("  traces: %llu compiled, %llu from cache, %llu "
-              "executions, %llu links, %llu flushes\n",
-              (unsigned long long)S.TracesCompiled,
-              (unsigned long long)S.TracesLoadedFromCache,
-              (unsigned long long)S.TraceExecutions,
-              (unsigned long long)S.LinksCreated,
-              (unsigned long long)S.CacheFlushes);
-  if (S.FirstTraceReadyCycles != 0)
-    std::printf("  first trace ready after %llu cycles\n",
-                (unsigned long long)S.FirstTraceReadyCycles);
-  if (S.PersistL1Hits != 0 || S.PersistL2Hits != 0)
-    std::printf("  tiered prime: %llu L1 hit(s), %llu L2 hit(s), "
-                "%llu remote byte(s) fetched\n",
-                (unsigned long long)S.PersistL1Hits,
-                (unsigned long long)S.PersistL2Hits,
-                (unsigned long long)S.PersistRemoteBytes);
-  if (S.TracesVerified != 0 || S.VerifyFailures != 0 ||
-      S.FlagsElided != 0)
-    std::printf("  validation: %llu traces proved equivalent, %llu "
-                "rejected, %llu dead defs elided\n",
-                (unsigned long long)S.TracesVerified,
-                (unsigned long long)S.VerifyFailures,
-                (unsigned long long)S.FlagsElided);
-  if (S.CertsChecked != 0 || S.ProofsReplayed != 0)
-    std::printf("  certificates: %llu checked at prime (%llu rejected), "
-                "%llu full re-proof(s) by the validator\n",
-                (unsigned long long)S.CertsChecked,
-                (unsigned long long)S.CertChecksFailed,
-                (unsigned long long)S.ProofsReplayed);
-  if (S.TracesPromoted != 0 || S.OptValidatorRejections != 0)
-    std::printf("  optimization: %llu traces promoted, %llu "
-                "superblocks formed, %llu loads eliminated, %llu "
-                "consts folded, %llu validator rejections\n",
-                (unsigned long long)S.TracesPromoted,
-                (unsigned long long)S.SuperblocksFormed,
-                (unsigned long long)S.OptLoadsEliminated,
-                (unsigned long long)S.OptConstsFolded,
-                (unsigned long long)S.OptValidatorRejections);
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    if (C.Kind == dbi::StatKind::Account)
+      std::printf("  %-16s %12llu cycles (%5.1f%%)\n", C.Name,
+                  (unsigned long long)(S.*C.Field),
+                  Total == 0 ? 0.0 : 100.0 * (S.*C.Field) / Total);
+  std::printf("engine counters:\n");
+  for (const dbi::StatsCounter &C : dbi::EngineStatsCounters)
+    if (C.Kind == dbi::StatKind::Counter)
+      std::printf("  %s %llu\n", C.Name,
+                  (unsigned long long)(S.*C.Field));
 }
 
 } // namespace
