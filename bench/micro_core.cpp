@@ -454,11 +454,11 @@ OverlapFixture &overlapFixture() {
 }
 
 /// Time-to-first-trace-execution on a warm cache: from run start until
-/// the first translated basic block executes. Arg 0 is the fully
-/// synchronous baseline (EagerValidate: every payload CRC-checked,
-/// decoded and materialized before prime() returns); Arg N > 0 primes
-/// asynchronously with N background workers, so execution starts while
-/// payload validation is still in flight.
+/// the first translated basic block executes. Arg 0 is the default
+/// synchronous prime (lazy: each payload is CRC-checked and decoded at
+/// its first execution); Arg N > 0 primes asynchronously with N
+/// background workers, so execution starts while payload validation is
+/// still in flight.
 void BM_PrimeAsyncOverlap(benchmark::State &State) {
   OverlapFixture &F = overlapFixture();
   const bool Async = State.range(0) != 0;
@@ -469,8 +469,6 @@ void BM_PrimeAsyncOverlap(benchmark::State &State) {
     Pool = std::make_unique<support::ThreadPool>(
         static_cast<size_t>(State.range(0)), /*Background=*/true);
     Opts.Pool = Pool.get();
-  } else {
-    Opts.EagerValidate = true;
   }
   for (auto _ : State) {
     FirstBlockTimerTool Timer;
@@ -483,31 +481,20 @@ void BM_PrimeAsyncOverlap(benchmark::State &State) {
         std::chrono::duration<double>(Timer.FirstBlock - Start).count());
     benchmark::DoNotOptimize(R);
   }
-  State.SetLabel(Async ? "async prime"
-                       : "synchronous eager-validate prime");
+  State.SetLabel(Async ? "async prime" : "synchronous lazy prime");
 }
 BENCHMARK(BM_PrimeAsyncOverlap)->Arg(0)->Arg(1)->Arg(2)->UseManualTime();
 
-/// finalize() critical-path latency after a full run. Arg 0 serializes,
-/// CRCs and publishes inline; Arg 1 snapshots the resident traces and
-/// hands the publish to the worker pool, so only the snapshot remains on
-/// the critical path (wait() — the durability barrier — is excluded from
-/// the timed region, as an engine would overlap it with teardown).
+/// finalize() latency after a full run: snapshot, serialize, CRC and
+/// publish, all on the calling thread.
 void BM_FinalizeBackground(benchmark::State &State) {
   PrimeFixture &F = primeFixture();
-  const bool Background = State.range(0) != 0;
-  std::unique_ptr<support::ThreadPool> Pool;
-  persist::PersistOptions Opts;
-  if (Background) {
-    Pool = std::make_unique<support::ThreadPool>(4, /*Background=*/true);
-    Opts.Pool = Pool.get();
-  }
   for (auto _ : State) {
     vm::Machine M = bench::mustOk(
         workloads::makeMachine(F.Registry, F.App, F.FullInput),
         "machine for the finalize bench");
     dbi::Engine Engine(M, nullptr);
-    persist::PersistentSession Session(F.Db, Opts);
+    persist::PersistentSession Session(F.Db);
     bench::mustOk(Session.prime(Engine), "prime for the finalize bench");
     benchmark::DoNotOptimize(Engine.run());
     auto Start = std::chrono::steady_clock::now();
@@ -517,13 +504,10 @@ void BM_FinalizeBackground(benchmark::State &State) {
       std::abort();
     State.SetIterationTime(
         std::chrono::duration<double>(End - Start).count());
-    if (!Session.wait(&Engine.stats()).ok())
-      std::abort();
   }
-  State.SetLabel(Background ? "background publish, 4 workers"
-                            : "inline publish");
+  State.SetLabel("inline publish");
 }
-BENCHMARK(BM_FinalizeBackground)->Arg(0)->Arg(1)->UseManualTime();
+BENCHMARK(BM_FinalizeBackground)->Arg(0)->UseManualTime();
 
 /// Host-side cost of one cache open through the tiered store. Arg 0 is
 /// an L1 hit, Arg 1 forces a read-through fetch from L2 on every open

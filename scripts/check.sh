@@ -83,6 +83,16 @@
 #                                    page-boundary faults, promoted Nop
 #                                    bodies and engine/interpreter
 #                                    equivalence through them)
+#   scripts/check.sh --perfbench     end-to-end benchmark self-check:
+#                                    python3 perfbench/test_perfbench.py
+#                                    builds pcc-perfbench and runs every
+#                                    workload scaled down, checking
+#                                    its mechanism guards (among them
+#                                    support.payload_jobs_queued > 0 on
+#                                    the pooled oracle-memtrace), that
+#                                    counts and modeled metrics repeat
+#                                    for a seed and match at 0 and 2
+#                                    workers, and that traces nest
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh --tsan -R CacheStore
@@ -327,6 +337,13 @@ if [ "${1:-}" = "--tidy" ]; then
   find "$ROOT/src" -name '*.cpp' -print | sort |
     xargs clang-tidy -p "$TIDY_BUILD" "$@"
   echo "clang-tidy clean"
+  exit 0
+fi
+
+if [ "${1:-}" = "--perfbench" ]; then
+  cd "$ROOT"
+  python3 perfbench/test_perfbench.py
+  echo "perfbench self-check passed"
   exit 0
 fi
 

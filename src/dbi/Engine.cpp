@@ -7,6 +7,7 @@
 #include "vm/Threads.h"
 
 #include <cassert>
+#include <optional>
 #include <type_traits>
 
 using namespace pcc;
@@ -77,124 +78,92 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
     return Status::success();
   assert(T->isFromPersistentCache() &&
          "only persisted traces are unmaterialized");
-  if (PersistedPayload *P = T->persistedPayload()) {
-    if (P->Xip) {
-      // Execute-in-place materialization: the pool bytes live in a
-      // borrowed read-only mapping. CRC-check them where they lie,
-      // bounds-scan the instruction fields in place (the executor
-      // indexes the register file unchecked, so a CRC-intact but
-      // malicious body must still be rejected), and point the trace's
-      // body at the mapping — no decode, no copy. The modeled charges
-      // are exactly the materializing path's: per-trace CRC +
-      // materialize + first-touch paging, so EngineStats stay
-      // bit-identical across the two paths.
-      assert(P->RebaseDelta == 0 && "XIP requires an unrelocated load");
-      Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
-      ++Stats.TracePayloadsValidated;
-      const uint8_t *Raw = Cache.codeAt(T->poolOffset());
-      if (crc32(Raw, T->poolBytes()) != P->ExpectedCodeCrc)
-        return Status::error(ErrorCode::InvalidFormat,
-                             "persisted trace payload checksum mismatch");
-      const auto *InPlace =
-          reinterpret_cast<const Instruction *>(Raw + TracePrologueBytes);
-      if (!isa::validInPlace(InPlace, T->guestInstCount()))
-        return Status::error(
-            ErrorCode::InvalidFormat,
-            "persisted trace body fails in-place field validation");
-      if (ValidateMaterialize) {
-        std::vector<Instruction> Copy(InPlace,
-                                      InPlace + T->guestInstCount());
-        Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
-        if (!Verdict.ok())
-          return Verdict;
-      }
-      T->clearPersistedPayload();
-      T->materializeBorrowed(InPlace);
-      chargePersistFirstTouch(T);
-      ++Stats.TracesReused;
-      return Status::success();
-    }
-    // Deferred per-trace validation (cache format v2): prime() checked
-    // only the header, module table and trace index, so the payload CRC
-    // runs here, on first execution — over the raw stored bytes, before
-    // any position-independent rebase touches them. With an install
-    // queue the host-side CRC + decode may already have happened on a
-    // worker (over the same stored bytes); the modeled charges below
-    // are made here either way, so the cost model cannot observe the
-    // worker count.
-    std::optional<ReadyTrace> Ready;
-    if (InstallQ) {
-      auto It = Prevalidated.find(T->guestStart());
-      if (It != Prevalidated.end()) {
-        Ready = std::move(It->second);
-        Prevalidated.erase(It);
-      } else {
-        // Unclaimed jobs are withdrawn (we validate inline); in-flight
-        // jobs are waited for so the work happens exactly once. The
-        // chunk-mates that arrive alongside the requested trace are
-        // stashed for their own first executions.
-        for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
-          if (R.GuestStart == T->guestStart())
-            Ready = std::move(R);
-          else
-            Prevalidated.emplace(R.GuestStart, std::move(R));
-        }
-      }
-    }
-    Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
-    ++Stats.TracePayloadsValidated;
-    if (Ready) {
-      if (!Ready->CrcOk)
-        return Status::error(ErrorCode::InvalidFormat,
-                             "persisted trace payload checksum mismatch");
-      // The worker rebased the decoded body; the pool copy still holds
-      // the raw stored bytes and finalize() harvests code from the
-      // pool, so it must be rebased here exactly as the inline path
-      // does.
-      if (P->RebaseDelta != 0)
-        rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
-                              T->poolBytes(), T->guestInstCount(),
-                              P->RelocMask, P->RebaseDelta);
-      T->clearPersistedPayload();
-      if (!Ready->DecodeError.ok())
-        return Ready->DecodeError;
-      if (ValidateMaterialize) {
-        Status Verdict =
-            runMaterializeCheck(T->guestStart(), Ready->Body);
-        if (!Verdict.ok())
-          return Verdict;
-      }
-      T->materialize(std::move(Ready->Body));
-      chargePersistFirstTouch(T);
-      ++Stats.TracesReused;
-      return Status::success();
-    }
+  PersistedPayload *P = T->persistedPayload();
+  assert(P && "an unmaterialized trace keeps its persisted payload");
+  Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
+  ++Stats.TracePayloadsValidated;
+  if (P->Xip) {
+    // Execute-in-place materialization: the pool bytes live in a
+    // borrowed read-only mapping. CRC-check them where they lie,
+    // bounds-scan the instruction fields in place (the executor
+    // indexes the register file unchecked, so a CRC-intact but
+    // malicious body must still be rejected), and point the trace's
+    // body at the mapping — no decode, no copy. The modeled charges
+    // are exactly the materializing path's: per-trace CRC +
+    // materialize + first-touch paging, so EngineStats stay
+    // bit-identical across the two paths.
+    assert(P->RebaseDelta == 0 && "XIP requires an unrelocated load");
     const uint8_t *Raw = Cache.codeAt(T->poolOffset());
     if (crc32(Raw, T->poolBytes()) != P->ExpectedCodeCrc)
       return Status::error(ErrorCode::InvalidFormat,
                            "persisted trace payload checksum mismatch");
-    if (P->RebaseDelta != 0)
-      rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
-                            T->poolBytes(), T->guestInstCount(),
-                            P->RelocMask, P->RebaseDelta);
+    const auto *InPlace =
+        reinterpret_cast<const Instruction *>(Raw + TracePrologueBytes);
+    if (!isa::validInPlace(InPlace, T->guestInstCount()))
+      return Status::error(
+          ErrorCode::InvalidFormat,
+          "persisted trace body fails in-place field validation");
+    if (ValidateMaterialize) {
+      std::vector<Instruction> Copy(InPlace, InPlace + T->guestInstCount());
+      Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
+      if (!Verdict.ok())
+        return Verdict;
+    }
     T->clearPersistedPayload();
+    T->materializeBorrowed(InPlace);
+    chargePersistFirstTouch(T);
+    ++Stats.TracesReused;
+    return Status::success();
   }
-  auto Body = isa::decodeAll(
-      Cache.codeAt(T->poolOffset() + TracePrologueBytes),
-      T->guestInstCount());
-  if (!Body)
-    return Body.status();
-  std::vector<Instruction> Decoded = Body.take();
+  // Deferred per-trace validation (cache format v2): prime() checked
+  // only the header, module table and trace index, so the payload CRC
+  // runs here, on first execution — over the raw stored bytes, before
+  // any position-independent rebase touches them. A pool worker may
+  // already have done this host work in a published chunk; the modeled
+  // charges above are made here either way, so the cost model cannot
+  // observe the worker count.
+  std::optional<ReadyTrace> Ready;
+  if (InstallQ) {
+    auto It = Prevalidated.find(T->guestStart());
+    if (It != Prevalidated.end()) {
+      Ready = std::move(It->second);
+      Prevalidated.erase(It);
+    } else {
+      // Empty unless a worker already published the chunk covering
+      // this trace; its chunk-mates are stashed for their own first
+      // executions.
+      for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
+        if (R.GuestStart == T->guestStart())
+          Ready = std::move(R);
+        else
+          Prevalidated.emplace(R.GuestStart, std::move(R));
+      }
+    }
+  }
+  if (!Ready)
+    Ready = validatePersistedPayload(T->guestStart(), T->guestInstCount(),
+                                     Cache.codeAt(T->poolOffset()),
+                                     T->poolBytes(), *P);
+  if (!Ready->CrcOk)
+    return Status::error(ErrorCode::InvalidFormat,
+                         "persisted trace payload checksum mismatch");
+  // The decoded body is rebased; the pool still holds the raw stored
+  // bytes, and finalize() harvests code from the pool.
+  rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()), T->poolBytes(),
+                        T->guestInstCount(), P->RelocMask, P->RebaseDelta);
+  T->clearPersistedPayload();
+  if (!Ready->DecodeError.ok())
+    return Ready->DecodeError;
   if (ValidateMaterialize) {
     // Deep semantic verification: the decoded (rebased) body must be
     // effect-equivalent to the guest instructions it claims to
     // translate. Runs before materialize so a rejected trace follows
     // the same drop-and-retranslate path as a CRC mismatch.
-    Status Verdict = runMaterializeCheck(T->guestStart(), Decoded);
+    Status Verdict = runMaterializeCheck(T->guestStart(), Ready->Body);
     if (!Verdict.ok())
       return Verdict;
   }
-  T->materialize(std::move(Decoded));
+  T->materialize(std::move(Ready->Body));
   chargePersistFirstTouch(T);
   ++Stats.TracesReused;
   return Status::success();
@@ -214,34 +183,6 @@ Status Engine::runMaterializeCheck(
   if (Info.Verified)
     ++Stats.TracesVerified;
   return Status::success();
-}
-
-void Engine::drainInstallQueue() {
-  for (ReadyTrace &R : InstallQ->drainReady()) {
-    uint32_t Start = R.GuestStart;
-    Prevalidated.emplace(Start, std::move(R));
-  }
-}
-
-void Engine::prevalidatePersistedTraces() {
-  // Snapshot the starts first: dropping a corrupt trace mutates the
-  // trace list mid-iteration otherwise.
-  std::vector<uint32_t> Starts;
-  Starts.reserve(Cache.traces().size());
-  for (const auto &T : Cache.traces())
-    if (T->isFromPersistentCache() && !T->isMaterialized())
-      Starts.push_back(T->guestStart());
-  for (uint32_t Start : Starts) {
-    TranslatedTrace *T = Cache.lookup(Start);
-    if (!T || T->isMaterialized())
-      continue;
-    if (ensureMaterialized(T).ok())
-      continue;
-    // Same disposition as a first-execution failure: drop just this
-    // trace; the dispatcher retranslates it if the run ever needs it.
-    Cache.removeTracesInRange(Start, 1);
-    ++Stats.TracesDroppedCorrupt;
-  }
 }
 
 namespace {
@@ -291,12 +232,6 @@ vm::RunResult Engine::run() {
     }
 
     if (!Current) {
-      // Dispatcher boundary: collect payloads the async-prime workers
-      // finished since the last exit from the code cache. Host-side
-      // bookkeeping only — no modeled charge, no translation-map
-      // change, so the cost model is blind to it.
-      if (InstallQ)
-        drainInstallQueue();
       // Dispatcher: context switch out of the code cache plus
       // translation-map lookup; compile on a miss.
       Stats.DispatchCycles += Costs.DispatchCycles;

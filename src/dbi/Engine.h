@@ -105,10 +105,11 @@ public:
   }
 
   /// Attaches the async-prime install queue: worker threads publish
-  /// CRC-validated, pre-decoded persisted payloads there and run()
-  /// drains them at dispatcher boundaries. Results are bit-identical
-  /// with and without a queue — the background work is host-side only
-  /// and every modeled cycle is still charged here at first execution.
+  /// CRC-validated, pre-decoded persisted payloads there and a trace's
+  /// first execution takes the published chunk covering it. Results
+  /// are bit-identical with and without a queue — the background work
+  /// is host-side only and every modeled cycle is still charged here at
+  /// first execution.
   void setInstallQueue(std::shared_ptr<TraceInstallQueue> Q) {
     InstallQ = std::move(Q);
   }
@@ -130,12 +131,13 @@ public:
   };
 
   /// Deep-verification hook run when a persisted trace's body is
-  /// decoded (at first execution or during a synchronous/async prime),
-  /// before the trace becomes executable. Receives the trace's guest
-  /// start address, its decoded (rebased) body, and an Info out-param
-  /// describing the verification work done; a non-success Status
-  /// rejects the trace, which is then dropped and retranslated from
-  /// guest memory exactly like a payload CRC failure. Installed by
+  /// materialized at first execution (whether a pool worker or the
+  /// engine thread decoded it), before the trace becomes executable.
+  /// Receives the trace's guest start address, its decoded (rebased)
+  /// body, and an Info out-param describing the verification work
+  /// done; a non-success Status rejects the trace, which is then
+  /// dropped and retranslated from guest memory exactly like a payload
+  /// CRC failure. Installed by
   /// persist::Session when PersistOptions::ValidateSemantic or
   /// certificate checking applies; the engine itself stays
   /// persistence-agnostic.
@@ -160,22 +162,16 @@ public:
     ProbeResidency = std::move(P);
   }
 
-  /// Validates and materializes every still-pending persisted trace on
-  /// the calling thread (corrupt ones are dropped for retranslation,
-  /// exactly as at first execution). This is the fully synchronous
-  /// prime the async pipeline is measured against; demand-paged costs
-  /// are charged as if every trace had been executed once.
-  void prevalidatePersistedTraces();
-
 private:
   /// Dispatcher slow path: translation-map lookup, compiling on a miss,
   /// flushing and retrying when a pool fills.
   ErrorOr<TranslatedTrace *> lookupOrCompile(uint32_t Pc);
 
   /// Decodes a persisted trace's body on first execution, charging
-  /// demand-paging costs. Consumes a background-validated body when
-  /// one is available; otherwise does the work inline. XIP traces are
-  /// CRC-checked and bounds-scanned in place instead of decoded.
+  /// demand-paging costs. Consumes a background-validated body when a
+  /// published chunk covers the trace; otherwise validates inline. XIP
+  /// traces are CRC-checked and bounds-scanned in place instead of
+  /// decoded.
   Status ensureMaterialized(TranslatedTrace *T);
 
   /// Charges the first-execution materialize + page-touch cycles for
@@ -190,9 +186,6 @@ private:
   Status runMaterializeCheck(uint32_t GuestStart,
                              const std::vector<isa::Instruction> &Body);
 
-  /// Moves every published install-queue result into Prevalidated.
-  void drainInstallQueue();
-
   vm::Machine &M;
   Tool *ClientTool;
   EngineOptions Opts;
@@ -206,9 +199,10 @@ private:
   MaterializeValidator ValidateMaterialize;
   /// Cross-process page-residency probe (null = single process).
   ResidencyProbe ProbeResidency;
-  /// Drained-but-not-yet-consumed worker results, by guest start. An
-  /// entry whose trace was flushed before first execution simply goes
-  /// unused; the dispatcher recompiles that PC as on a cold run.
+  /// Chunk-mates of a taken chunk, awaiting their own first
+  /// executions, by guest start. An entry whose trace was flushed
+  /// before first execution simply goes unused; the dispatcher
+  /// recompiles that PC as on a cold run.
   std::unordered_map<uint32_t, ReadyTrace> Prevalidated;
 };
 

@@ -2,10 +2,40 @@
 
 #include "dbi/InstallQueue.h"
 
+#include "dbi/Compiler.h"
+#include "support/Hashing.h"
+
 #include <cassert>
 
 using namespace pcc;
 using namespace pcc::dbi;
+
+ReadyTrace pcc::dbi::validatePersistedPayload(uint32_t GuestStart,
+                                              uint32_t InstCount,
+                                              const uint8_t *Raw,
+                                              uint32_t RawBytes,
+                                              const PersistedPayload &P) {
+  ReadyTrace R;
+  R.GuestStart = GuestStart;
+  R.CrcOk = crc32(Raw, RawBytes) == P.ExpectedCodeCrc;
+  if (!R.CrcOk)
+    return R;
+  // The stored bytes stay raw (a worker reads a shared cache view); a
+  // rebase works on a private copy of the image.
+  std::vector<uint8_t> Rebased;
+  if (P.RebaseDelta != 0) {
+    Rebased.assign(Raw, Raw + RawBytes);
+    rebaseTranslatedImage(Rebased.data(), RawBytes, InstCount, P.RelocMask,
+                          P.RebaseDelta);
+    Raw = Rebased.data();
+  }
+  auto Body = isa::decodeAll(Raw + TracePrologueBytes, InstCount);
+  if (!Body)
+    R.DecodeError = Body.status();
+  else
+    R.Body = Body.take();
+  return R;
+}
 
 void TraceInstallQueue::addJob(std::vector<uint32_t> Starts, JobFn Fn) {
   std::unique_lock<std::mutex> Lock(Mutex);
@@ -42,20 +72,6 @@ bool TraceInstallQueue::runNextJob() {
   }
   Advanced.notify_all();
   return true;
-}
-
-std::vector<ReadyTrace> TraceInstallQueue::drainReady() {
-  std::vector<ReadyTrace> Out;
-  std::unique_lock<std::mutex> Lock(Mutex);
-  for (Job &J : Jobs) {
-    if (J.State != JobState::Published)
-      continue;
-    for (ReadyTrace &R : J.Results)
-      Out.push_back(std::move(R));
-    J.Results.clear();
-    J.State = JobState::Consumed;
-  }
-  return Out;
 }
 
 std::vector<ReadyTrace> TraceInstallQueue::takeFor(uint32_t GuestStart) {

@@ -11,11 +11,11 @@
 /// map, links and every modeled cost are identical at any worker
 /// count) but defers the *host-side* work of each payload — CRC over
 /// the stored bytes and decoding the translated body — to jobs on the
-/// shared ThreadPool. Workers publish finished bodies here; the engine
-/// drains them at dispatcher boundaries and attaches them to the
-/// still-unmaterialized traces, so first execution skips the inline
-/// CRC + decode stall while charging exactly the modeled cycles the
-/// synchronous path charges.
+/// shared ThreadPool. Workers publish finished chunks here; at a
+/// trace's first execution the engine takes the published chunk that
+/// covers it, so first execution skips the inline CRC + decode stall
+/// while charging exactly the modeled cycles the synchronous path
+/// charges. Both sides validate through validatePersistedPayload().
 ///
 /// Invariants that keep results bit-identical for any worker count:
 ///
@@ -23,12 +23,11 @@
 ///     memory — a flush or eviction can never race a worker.
 ///   * All modeled charges (CRC, materialize, page-touch cycles) are
 ///     made by the engine thread at first execution, whether the body
-///     came from a worker, was claimed back unclaimed, or was decoded
-///     inline.
-///   * takeFor() is deterministic: an unclaimed job is withdrawn (the
-///     engine validates inline, exactly as with no pool); an in-flight
-///     job is waited for; either way the engine observes the same
-///     bytes and produces the same trace.
+///     came from a worker or was validated inline.
+///   * takeFor() never blocks: an unclaimed job is withdrawn and an
+///     in-flight one skipped, and either way the engine validates its
+///     trace inline from the same stored bytes, producing the same
+///     trace.
 ///   * A result whose trace was flushed or evicted before arrival is
 ///     simply never consumed — the guest PC recompiles through the
 ///     normal dispatcher path, same as a cold run.
@@ -38,6 +37,7 @@
 #ifndef PCC_DBI_INSTALLQUEUE_H
 #define PCC_DBI_INSTALLQUEUE_H
 
+#include "dbi/CodeCache.h"
 #include "isa/Instruction.h"
 #include "support/Error.h"
 
@@ -63,18 +63,29 @@ struct ScheduleStats {
   uint64_t ChunksInFlightSkipped = 0; ///< takeFor() hit a Claimed job.
 };
 
-/// One background-validated persisted payload, ready to install.
+/// One validated persisted payload, ready to install — whether a
+/// worker or the engine's first-execution path validated it.
 struct ReadyTrace {
   uint32_t GuestStart = 0;
   /// Payload CRC over the raw stored bytes matched the trace index.
   bool CrcOk = false;
   /// Decode failure of a CRC-clean payload (success otherwise). The
-  /// engine surfaces it exactly as the inline decode would.
+  /// engine returns it as the trace's materialize error.
   Status DecodeError = Status::success();
   /// Decoded translated body with the position-independent rebase
   /// already applied; empty unless CrcOk and DecodeError is success.
   std::vector<isa::Instruction> Body;
 };
+
+/// Validates one persisted payload for materialization: CRC over the
+/// \p RawBytes raw stored bytes at \p Raw against the trace index, then
+/// decode of the \p InstCount-instruction body, rebased by \p P's
+/// load delta through rebaseTranslatedImage. Reads nothing but its
+/// arguments, so the engine's first-execution path and async-prime
+/// workers run the identical check.
+ReadyTrace validatePersistedPayload(uint32_t GuestStart, uint32_t InstCount,
+                                    const uint8_t *Raw, uint32_t RawBytes,
+                                    const PersistedPayload &P);
 
 /// Lock-protected queue of payload-validation jobs and their results.
 /// One producer (the session, before run()), N worker threads, one
@@ -83,9 +94,9 @@ struct ReadyTrace {
 /// Jobs are *batched*: each covers a contiguous chunk of persisted
 /// traces and publishes one ReadyTrace per trace. Batching keeps the
 /// producer/consumer overhead (closure allocation, map inserts, lock
-/// round-trips, per-boundary scans) proportional to the chunk count
-/// rather than the trace count, which matters because the producer loop
-/// runs on the engine thread inside prime().
+/// round-trips) proportional to the chunk count rather than the trace
+/// count, which matters because the producer loop runs on the engine
+/// thread inside prime().
 class TraceInstallQueue {
 public:
   using JobFn = std::function<std::vector<ReadyTrace>()>;
@@ -100,10 +111,6 @@ public:
   /// job remains (the worker loop exits).
   bool runNextJob();
 
-  /// Engine side: removes and returns every published-but-unconsumed
-  /// result. Called at dispatcher boundaries.
-  std::vector<ReadyTrace> drainReady();
-
   /// Engine side: the published results of the job covering
   /// \p GuestStart — the requested trace plus its chunk-mates, which
   /// the caller stashes for their own first executions. An unclaimed
@@ -113,8 +120,8 @@ public:
   /// own first executions. An in-flight job also returns empty — the
   /// engine never blocks on a worker (the workers may be running at
   /// background priority, so waiting would invert priorities); it
-  /// validates inline, and the worker's duplicate result is ignored
-  /// when it later arrives against an already-materialized trace.
+  /// validates inline, and the worker's duplicate result for that
+  /// trace is never consumed.
   /// Empty also when no job covers the start or the job was already
   /// consumed.
   std::vector<ReadyTrace> takeFor(uint32_t GuestStart);

@@ -70,8 +70,8 @@ public:
                             QuarantineReasonCode Code,
                             const std::string &Detail) = 0;
 
-  /// The run's install-queue scheduling outcomes (fired once, at the
-  /// session's durability barrier).
+  /// The run's install-queue scheduling outcomes (fired when the
+  /// session's wait() has quiesced the queue).
   virtual void onScheduleOutcomes(const ScheduleOutcomes &Outcomes) = 0;
 
   /// Name under which the in-progress recording will be persisted

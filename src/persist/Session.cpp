@@ -13,9 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <iterator>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -265,12 +263,12 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   }
   if (Opts.ValidateSemantic || !PrimedCerts.empty()) {
     // Verification at materialization: whenever a primed trace's body
-    // is decoded (first execution, prevalidation, or a background
-    // worker's result being consumed), it is checked against the guest
-    // instructions at its start address. Promoted traces that rode in
-    // with a validation certificate go through the minimal trusted
-    // checker (no fixpoint solving); a rejected certificate — and any
-    // promoted trace without one — falls back to the full symbolic
+    // is materialized at first execution (decoded inline or by a pool
+    // worker), it is checked against the guest instructions at its
+    // start address. Promoted traces that rode in with a validation
+    // certificate go through the minimal trusted checker (no fixpoint
+    // solving); a rejected certificate — and any promoted trace
+    // without one — falls back to the full symbolic
     // validator. Under Opts.ValidateSemantic, unpromoted traces are
     // fully proved too. A trace that fails every applicable check is
     // dropped for retranslation — and, once per session, the source
@@ -352,48 +350,16 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
                                    Check.message());
         });
   }
-  if (Opts.EagerValidate)
-    Engine.prevalidatePersistedTraces();
   return Result;
-}
-
-/// One payload validated exactly as the engine's inline
-/// first-execution path does it: CRC over the raw stored bytes,
-/// decode, then rebase the decoded immediates. (The inline path
-/// rebases the pool bytes before decoding; adding the delta to the
-/// decoded little-endian immediate is the same mod-2^32 arithmetic.)
-dbi::ReadyTrace
-PersistentSession::validatePayload(const CacheFileView &View,
-                                   const AsyncPayloadJob &JD) {
-  dbi::ReadyTrace R;
-  R.GuestStart = JD.GuestStart;
-  const uint8_t *Code = View.codeBytesOf(JD.TraceIndex);
-  R.CrcOk = crc32(Code, JD.CodeSize) == JD.ExpectedCrc;
-  if (!R.CrcOk)
-    return R;
-  auto Body = isa::decodeAll(Code + dbi::TracePrologueBytes,
-                             JD.GuestInstCount);
-  if (!Body) {
-    R.DecodeError = Body.status();
-    return R;
-  }
-  R.Body = Body.take();
-  if (JD.RebaseDelta != 0)
-    for (uint32_t I = 0; I != JD.GuestInstCount; ++I)
-      if (JD.RelocMask.size() > I / 8 &&
-          (JD.RelocMask[I / 8] >> (I % 8)) & 1)
-        R.Body[I].Imm = static_cast<uint32_t>(
-            R.Body[I].Imm + static_cast<uint64_t>(JD.RebaseDelta));
-  return R;
 }
 
 namespace {
 
 /// Traces per install-queue job. Batching keeps the producer loop —
 /// which runs on the engine thread inside prime() — and the queue's
-/// per-boundary bookkeeping off the run's critical path; a chunk is
-/// still small enough that waiting out an in-flight job or losing a
-/// withdrawn chunk's background work is negligible.
+/// bookkeeping off the run's critical path; a chunk is still small
+/// enough that losing a withdrawn chunk's background work is
+/// negligible.
 constexpr size_t PayloadChunkTraces = 64;
 
 } // namespace
@@ -401,7 +367,7 @@ constexpr size_t PayloadChunkTraces = 64;
 void PersistentSession::startAsyncPrime(dbi::Engine &Engine,
                                         PrimeResult &Result) {
   Queue = std::make_shared<dbi::TraceInstallQueue>();
-  // The jobs read only view bytes and their own descriptors — never
+  // The jobs read only view bytes and their own payload copies — never
   // engine memory — so a mid-run flush or eviction cannot race them.
   // The view is guaranteed alive until wait()/destruction quiesces the
   // queue.
@@ -409,19 +375,24 @@ void PersistentSession::startAsyncPrime(dbi::Engine &Engine,
   for (size_t Begin = 0; Begin < AsyncJobs.size();
        Begin += PayloadChunkTraces) {
     size_t End = std::min(Begin + PayloadChunkTraces, AsyncJobs.size());
-    auto Batch = std::make_shared<std::vector<AsyncPayloadJob>>(
+    auto Batch = std::make_shared<decltype(AsyncJobs)>(
         std::make_move_iterator(AsyncJobs.begin() + Begin),
         std::make_move_iterator(AsyncJobs.begin() + End));
     std::vector<uint32_t> Starts;
     Starts.reserve(Batch->size());
-    for (const AsyncPayloadJob &JD : *Batch)
-      Starts.push_back(JD.GuestStart);
+    for (const auto &Job : *Batch)
+      Starts.push_back(Job.first);
     Queue->addJob(std::move(Starts),
                   [View, Batch]() -> std::vector<dbi::ReadyTrace> {
                     std::vector<dbi::ReadyTrace> Out;
                     Out.reserve(Batch->size());
-                    for (const AsyncPayloadJob &JD : *Batch)
-                      Out.push_back(validatePayload(*View, JD));
+                    for (const auto &[Start, Payload] : *Batch) {
+                      uint32_t I = Payload.SourceTraceIndex;
+                      Out.push_back(dbi::validatePersistedPayload(
+                          Start, View->entry(I).GuestInstCount,
+                          View->codeBytesOf(I), View->entry(I).CodeSize,
+                          Payload));
+                    }
                     return Out;
                   });
   }
@@ -573,7 +544,7 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
   // so the copy strategy reports the capacity rejection.
   const bool Borrow =
       View.executeInPlace() && isa::HostExecutesInPlace &&
-      !Opts.ValidateSemantic && !Opts.EagerValidate && !Plan.Rebased &&
+      !Opts.ValidateSemantic && !Plan.Rebased &&
       Plan.Skipped == 0 &&
       View.payloadSize() <= Engine.options().CodePoolBytes;
   if (Borrow) {
@@ -612,9 +583,8 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
       return S;
   }
 
-  const bool AsyncPrime = !Borrow && Opts.Pool &&
-                          Opts.Pool->workerCount() > 0 &&
-                          !Opts.EagerValidate;
+  const bool AsyncPrime =
+      !Borrow && Opts.Pool && Opts.Pool->workerCount() > 0;
   std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
   std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
       LinkWork;
@@ -634,16 +604,6 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
       Payload->RelocMask = View.readRelocMask(P.TraceIndex);
     Payload->SourceTraceIndex = P.TraceIndex;
     Payload->Xip = Borrow;
-    AsyncPayloadJob Job;
-    if (AsyncPrime) {
-      Job.GuestStart = P.Start;
-      Job.TraceIndex = P.TraceIndex;
-      Job.GuestInstCount = P.GuestInstCount;
-      Job.CodeSize = P.CodeSize;
-      Job.ExpectedCrc = Payload->ExpectedCodeCrc;
-      Job.RebaseDelta = P.Delta;
-      Job.RelocMask = Payload->RelocMask;
-    }
     auto T = std::make_unique<TranslatedTrace>(
         P.Start, P.GuestInstCount, P.PoolOffset, P.CodeSize,
         std::move(P.Exits), /*FromPersistentCache=*/true);
@@ -661,7 +621,7 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
     if (Opts.CheckCertificates && P.OptGen > 0)
       PrimedCerts.emplace(P.Start, std::move(P.Cert));
     if (AsyncPrime)
-      AsyncJobs.push_back(std::move(Job));
+      AsyncJobs.emplace_back(P.Start, *(*Added)->persistedPayload());
     ByStart.emplace(P.Start, *Added);
     LinkWork.emplace_back(*Added, std::move(P.LinkedStarts));
     ++Result.TracesInstalled;
@@ -692,34 +652,6 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
 
 namespace {
 
-/// What one circuit-breaker publish pass did, accumulated off to the
-/// side so the same code runs inline or on a pool worker; the caller
-/// (finalize() or wait()) merges it into EngineStats, keeping the
-/// recorded values bit-identical either way.
-struct PublishOutcome {
-  bool Succeeded = false;
-  Status LastError = Status::success();
-  uint64_t StoreFailures = 0;
-  uint64_t StoreRetries = 0;
-};
-
-/// Guest source snapshots for the optimization tier, keyed by trace
-/// start. Fetched synchronously in finalize() (the address space is
-/// only guaranteed alive on the engine thread); the promotion pass then
-/// needs no engine or guest state at all, so it can run on a pool
-/// worker alongside the publish.
-using OptSourceMap =
-    std::unordered_map<uint32_t, std::vector<isa::Instruction>>;
-
-/// What one finalize promotion pass did.
-struct OptOutcome {
-  uint64_t TracesPromoted = 0;
-  uint64_t SuperblocksFormed = 0;
-  uint64_t LoadsEliminated = 0;
-  uint64_t ConstsFolded = 0;
-  uint64_t Rejections = 0;
-};
-
 bool sameInst(const isa::Instruction &A, const isa::Instruction &B) {
   return A.Op == B.Op && A.Rd == B.Rd && A.Rs1 == B.Rs1 &&
          A.Rs2 == B.Rs2 && A.Imm == B.Imm;
@@ -739,7 +671,7 @@ void clearRelocBit(TraceRecord &Rec, uint32_t I) {
 /// no address-bearing immediate to rebase.
 bool promoteBody(TraceRecord &Rec, std::vector<isa::Instruction> Body,
                  const std::vector<isa::Instruction> &Source, bool Pic,
-                 bool EmitCerts, OptOutcome &Out) {
+                 bool EmitCerts, dbi::EngineStats &Stats) {
   const std::vector<isa::Instruction> Original = Body;
   analysis::TraceOptStats OS;
   analysis::optimizeTraceBody(Body, Rec.GuestStart,
@@ -748,7 +680,7 @@ bool promoteBody(TraceRecord &Rec, std::vector<isa::Instruction> Body,
   auto Check = analysis::validateTranslation(
       Rec.GuestStart, Source, Body, EmitCerts ? &Cert : nullptr);
   if (!Check.Equivalent) {
-    ++Out.Rejections;
+    ++Stats.OptValidatorRejections;
     return false;
   }
   if (Pic)
@@ -768,33 +700,35 @@ bool promoteBody(TraceRecord &Rec, std::vector<isa::Instruction> Body,
   } else {
     Rec.Cert.clear();
   }
-  ++Out.TracesPromoted;
-  Out.LoadsEliminated += OS.LoadsEliminated;
-  Out.ConstsFolded += OS.ConstsFolded;
+  ++Stats.TracesPromoted;
+  Stats.OptLoadsEliminated += OS.LoadsEliminated;
+  Stats.OptConstsFolded += OS.ConstsFolded;
   return true;
 }
 
 /// The finalize-time AOT promotion pass: merges contiguous fall-through
 /// chains of hot traces into superblocks, then runs the optimizer over
 /// every candidate body, accepting only what validateTranslation
-/// proves. Pure host-side transform over \p File — no engine, store or
-/// guest state — so it runs equally inline or on a pool worker.
-void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
-                      uint32_t MaxGen, uint32_t MaxSuperblockInsts,
-                      bool EmitCerts, OptOutcome &Out) {
+/// proves against the guest source read from \p Space.
+void promoteCacheFile(CacheFile &File, const loader::AddressSpace &Space,
+                      const PersistOptions &Opts, dbi::EngineStats &Stats) {
   const bool Pic = File.PositionIndependent;
+  const bool EmitCerts = Opts.EmitCertificates;
 
-  // Candidate set: traces whose guest source was snapshotted (the heat
-  // threshold was applied at snapshot time), with generation headroom
-  // and a source that still matches the body length.
+  // Candidate set: traces at or above the heat threshold, with
+  // generation headroom and readable guest source.
+  std::unordered_map<uint32_t, std::vector<isa::Instruction>> Sources;
   std::vector<size_t> CandIdx;
   std::vector<analysis::SuperblockCandidate> Cands;
   for (size_t I = 0; I != File.Traces.size(); ++I) {
     const TraceRecord &Rec = File.Traces[I];
-    auto It = Sources.find(Rec.GuestStart);
-    if (It == Sources.end() || Rec.OptGen >= MaxGen ||
-        It->second.size() != Rec.GuestInstCount)
+    if (Rec.Heat < Opts.OptHeatThreshold || Rec.OptGen >= Opts.OptMaxGen)
       continue;
+    auto Src = fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
+    if (!Src)
+      continue; // Unreadable source (e.g. a carried trace of a module
+                // this run never mapped): stays at its generation.
+    Sources.emplace(Rec.GuestStart, Src.take());
     analysis::SuperblockCandidate C;
     C.Start = Rec.GuestStart;
     C.InstCount = Rec.GuestInstCount;
@@ -819,7 +753,7 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
   // scalar candidates below.
   std::vector<bool> Done(Cands.size(), false);
   for (const std::vector<uint32_t> &Chain :
-       analysis::planSuperblocks(Cands, MaxSuperblockInsts)) {
+       analysis::planSuperblocks(Cands, Opts.OptMaxSuperblockInsts)) {
     std::vector<isa::Instruction> Body, Source;
     std::vector<ExitRecord> Exits;
     TraceRecord Merged;
@@ -863,11 +797,11 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
                            Body.size() * isa::InstructionSize +
                            Merged.Exits.size() * dbi::ExitStubBytes,
                        0);
-    if (!promoteBody(Merged, std::move(Body), Source, Pic, EmitCerts, Out))
+    if (!promoteBody(Merged, std::move(Body), Source, Pic, EmitCerts, Stats))
       continue;
     File.Traces[CandIdx[Chain[0]]] = std::move(Merged);
     Done[Chain[0]] = true;
-    ++Out.SuperblocksFormed;
+    ++Stats.SuperblocksFormed;
   }
 
   // Scalar promotion for every remaining candidate — superblock tails
@@ -880,83 +814,11 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
                                Rec.GuestInstCount);
     if (Body)
       promoteBody(Rec, Body.take(), Sources.at(Cands[CI].Start), Pic,
-                  EmitCerts, Out);
+                  EmitCerts, Stats);
   }
-}
-
-/// Store-write circuit breaker: persistence is an accelerator, so a
-/// failing write is retried up to the threshold and then abandoned —
-/// the run completes correctly either way. Pure store-side work; no
-/// engine or session state is touched, which is what makes it safe to
-/// run on a pool worker after finalize() has returned.
-PublishOutcome publishWithBreaker(CacheStore &Store,
-                                  const std::string &StoreAsPath,
-                                  uint64_t LookupKey,
-                                  uint32_t BaseGeneration,
-                                  uint32_t Attempts, CacheFile File) {
-  PublishOutcome Out;
-  for (uint32_t Attempt = 0; Attempt != Attempts; ++Attempt) {
-    if (Attempt != 0)
-      ++Out.StoreRetries;
-    if (!StoreAsPath.empty()) {
-      Status S = Store.putRef(StoreAsPath, File);
-      if (S.ok()) {
-        Out.Succeeded = true;
-        return Out;
-      }
-      Out.LastError = S;
-    } else {
-      auto Published = Store.publish(LookupKey, File, BaseGeneration);
-      if (Published) {
-        Out.StoreRetries += Published->LockRetries;
-        Out.Succeeded = true;
-        return Out;
-      }
-      Out.LastError = Published.status();
-    }
-    ++Out.StoreFailures;
-  }
-  return Out;
-}
-
-/// Folds one finalize pass's promotion and publish outcomes into
-/// \p Stats (when given) and returns the FailFast error, if any. The
-/// synchronous finalize() and wait() both end here, which is what keeps
-/// their recorded stats bit-identical.
-Status mergeFinalizeOutcome(const OptOutcome &Opt,
-                            const PublishOutcome &Publish, bool FailFast,
-                            dbi::EngineStats *Stats) {
-  if (Stats) {
-    Stats->TracesPromoted += Opt.TracesPromoted;
-    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
-    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
-    Stats->OptConstsFolded += Opt.ConstsFolded;
-    Stats->OptValidatorRejections += Opt.Rejections;
-    Stats->PersistStoreRetries += Publish.StoreRetries;
-    Stats->PersistStoreFailures += Publish.StoreFailures;
-  }
-  if (Publish.Succeeded)
-    return Status::success();
-  if (FailFast)
-    return Publish.LastError;
-  if (Stats) {
-    Stats->PersistDegraded = true;
-    Stats->PersistDegradeReason = Publish.LastError.toString();
-  }
-  return Status::success();
 }
 
 } // namespace
-
-/// A background finalize's outcomes as the worker produced them; wait()
-/// reads them once Done is set.
-struct PersistentSession::FinalizeState {
-  std::mutex Mutex;
-  std::condition_variable Completed;
-  bool Done = false;
-  OptOutcome Opt;
-  PublishOutcome Publish;
-};
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
@@ -964,9 +826,9 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     return Status::success();
 
   // The prime pipeline is over: withdraw payload jobs no one will
-  // consume so the workers free up for the publish below. In-flight
-  // jobs are left to finish (they read only view bytes, which stay
-  // alive until wait()/destruction).
+  // consume so the workers stop competing with the publish below.
+  // In-flight jobs are left to finish (they read only view bytes, which
+  // stay alive until wait()/destruction).
   if (Queue)
     Queue->cancelPending();
 
@@ -1259,91 +1121,56 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
                      return A.GuestStart < B.GuestStart;
                    });
 
-  // Optimization tier: snapshot guest source for the hot candidates
-  // now — the address space is only guaranteed alive on this thread —
-  // so the transform + equivalence proof can run alongside the publish,
-  // behind the wait() durability barrier. Tool-less sessions only: the
-  // optimizer deletes instructions, which would change what an
-  // instrumentation tool observes.
-  OptSourceMap OptSources;
-  if (Opts.OptTier && !Engine.tool() && File.SpecBits == 0)
-    for (const TraceRecord &Rec : File.Traces) {
-      if (Rec.Heat < Opts.OptHeatThreshold ||
-          Rec.OptGen >= Opts.OptMaxGen)
-        continue;
-      auto Src =
-          fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
-      if (!Src)
-        continue; // Unreadable source (e.g. a carried trace of a module
-                  // this run never mapped): stays at its generation.
-      OptSources.emplace(Rec.GuestStart, Src.take());
-    }
-
   CacheStore &Store = *Db.backend();
   dbi::EngineStats &Stats = Engine.stats();
-  // The write charge is modeled on the pre-promotion snapshot in both
-  // the sync and background paths: promotion happens off the modeled
-  // critical path, so architectural stats stay bit-identical whether
-  // the tier is on or off, and for any worker count.
+  // The write charge is modeled on the pre-promotion snapshot:
+  // promotion happens off the modeled critical path, so architectural
+  // stats stay bit-identical whether the tier is on or off.
   Stats.PersistCycles +=
       Engine.options().Costs.PersistWriteCyclesPerPage *
       pagesOf(File.serializedSize());
+  // Optimization tier. Tool-less sessions only: the optimizer deletes
+  // instructions, which would change what an instrumentation tool
+  // observes.
+  if (Opts.OptTier && !Engine.tool() && File.SpecBits == 0)
+    promoteCacheFile(File, Space, Opts, Stats);
+
   // Transactional publish: BaseGeneration is what this session primed
   // from its own slot (a donor prime does not claim the slot's
   // history), so a concurrent finalizer that advanced the slot first is
-  // detected and merged with instead of clobbered.
-  uint32_t BaseGeneration =
+  // detected and merged with instead of clobbered. Store-write circuit
+  // breaker: persistence is an accelerator, so a failing write is
+  // retried up to the threshold and then abandoned — the run completes
+  // correctly either way.
+  const uint32_t BaseGeneration =
       LoadedWasOwn && LoadedView ? File.Generation - 1 : 0;
-
-  uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
-
-  if (Opts.Pool && Opts.Pool->workerCount() > 0) {
-    // Background finalize: the snapshot above (and every modeled
-    // charge) happened synchronously; only the serialize + store
-    // publish — pure host-side I/O — moves off the critical path.
-    // The breaker/degrade/FailFast outcome is delivered by wait().
-    Fin = std::make_shared<FinalizeState>();
-    auto FinPtr = Fin;
-    std::shared_ptr<CacheStore> StorePtr = Db.backend();
-    auto FilePtr = std::make_shared<CacheFile>(std::move(File));
-    Opts.Pool->submit([FinPtr, StorePtr, FilePtr,
-                       Sources = std::move(OptSources),
-                       MaxGen = Opts.OptMaxGen,
-                       MaxSb = Opts.OptMaxSuperblockInsts,
-                       EmitCerts = Opts.EmitCertificates,
-                       StoreAsPath = Opts.StoreAsPath,
-                       Key = LookupKey, BaseGeneration, Attempts] {
-      OptOutcome Opt;
-      if (!Sources.empty())
-        promoteCacheFile(*FilePtr, Sources, MaxGen, MaxSb, EmitCerts,
-                         Opt);
-      PublishOutcome Out =
-          publishWithBreaker(*StorePtr, StoreAsPath, Key,
-                             BaseGeneration, Attempts,
-                             std::move(*FilePtr));
-      {
-        std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
-        FinPtr->Opt = Opt;
-        FinPtr->Publish = std::move(Out);
-        FinPtr->Done = true;
+  const uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
+  Status LastError = Status::success();
+  for (uint32_t Attempt = 0; Attempt != Attempts; ++Attempt) {
+    if (Attempt != 0)
+      ++Stats.PersistStoreRetries;
+    if (!Opts.StoreAsPath.empty()) {
+      LastError = Store.putRef(Opts.StoreAsPath, File);
+      if (LastError.ok())
+        return LastError;
+    } else {
+      auto Published = Store.publish(LookupKey, File, BaseGeneration);
+      if (Published) {
+        Stats.PersistStoreRetries += Published->LockRetries;
+        return Status::success();
       }
-      FinPtr->Completed.notify_all();
-    });
-    return Status::success();
+      LastError = Published.status();
+    }
+    ++Stats.PersistStoreFailures;
   }
-
-  OptOutcome Opt;
-  if (!OptSources.empty())
-    promoteCacheFile(File, OptSources, Opts.OptMaxGen,
-                     Opts.OptMaxSuperblockInsts, Opts.EmitCertificates,
-                     Opt);
-  PublishOutcome Out =
-      publishWithBreaker(Store, Opts.StoreAsPath, LookupKey,
-                         BaseGeneration, Attempts, std::move(File));
-  return mergeFinalizeOutcome(Opt, Out, Opts.FailFast, &Stats);
+  if (Opts.FailFast)
+    return LastError;
+  Stats.PersistDegraded = true;
+  Stats.PersistDegradeReason = LastError.toString();
+  return Status::success();
 }
 
-Status PersistentSession::wait(dbi::EngineStats *Stats) {
+Status PersistentSession::wait(dbi::EngineStats *) {
   if (Queue) {
     // Jobs the run never consumed are dead weight; in-flight ones must
     // finish before the cache-file view they read can be released.
@@ -1362,15 +1189,7 @@ Status PersistentSession::wait(dbi::EngineStats *Stats) {
       Hooks->onScheduleOutcomes(Out);
     }
   }
-  if (!Fin)
-    return Status::success();
-  {
-    std::unique_lock<std::mutex> Lock(Fin->Mutex);
-    Fin->Completed.wait(Lock, [&] { return Fin->Done; });
-  }
-  std::shared_ptr<FinalizeState> Finished = std::move(Fin);
-  return mergeFinalizeOutcome(Finished->Opt, Finished->Publish,
-                              Opts.FailFast, Stats);
+  return Status::success();
 }
 
 ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(
@@ -1389,13 +1208,6 @@ ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(
   Status Finalized = Session.finalize(Engine);
   if (!Finalized.ok())
     return Finalized;
-  // Durability barrier: with a worker pool the publish is still in
-  // flight — wait for it and fold its outcome (retries, failures,
-  // degradation) into the stats exactly where the synchronous path
-  // records them.
-  Status Waited = Session.wait(&Engine.stats());
-  if (!Waited.ok())
-    return Waited;
   Result.Stats = Engine.stats();
   // Include the cache write-back charged by finalize().
   Result.Run.Cycles = Result.Stats.totalCycles();

@@ -96,24 +96,14 @@ struct PersistOptions {
   uint32_t BreakerThreshold = 3;
   /// Propagate store-write failures as finalize() errors instead of
   /// degrading (strict tools and tests that must observe the failure).
-  /// With a worker pool the failure surfaces from wait() instead —
-  /// finalize() has already returned by the time the publish runs.
   bool FailFast = false;
-  /// Worker pool shared across the persistence pipeline (null: fully
-  /// synchronous, today's behaviour). With workers, prime() returns
-  /// after the header/index scan and trace installation while payload
-  /// CRC + decode run in the background, and finalize() publishes off
-  /// the critical path. Guest-visible results and EngineStats are
-  /// bit-identical for any worker count. The pool must outlive the
-  /// session.
+  /// Worker pool for async prime (null: fully synchronous). With
+  /// workers, prime() returns after the header/index scan and trace
+  /// installation while payload CRC + decode run in the background.
+  /// finalize() runs on the calling thread either way. Guest-visible
+  /// results and EngineStats are bit-identical for any worker count.
+  /// The pool must outlive the session.
   support::ThreadPool *Pool = nullptr;
-  /// Validate, decode and materialize every installed payload before
-  /// prime() returns — the fully synchronous baseline the async
-  /// pipeline is benchmarked against (BM_PrimeAsyncOverlap). Modeled
-  /// demand-paging costs are charged as if each trace had executed
-  /// once, so this mode is for latency measurement, not stats
-  /// comparison.
-  bool EagerValidate = false;
   /// Deep semantic verification (analysis::validateTranslation): every
   /// primed trace must prove effect-equivalent to the guest code it
   /// claims to translate when its body is first decoded, and finalize()
@@ -148,10 +138,8 @@ struct PersistOptions {
   /// contiguous fall-through chains, constant propagation (non-PIC
   /// only), redundant-load elimination, and dead-def elision — with
   /// every transformed body proved by analysis::validateTranslation;
-  /// rejection keeps the generation-0 body. Guest source snapshots are
-  /// taken synchronously in finalize(); the transform + proof runs with
-  /// the publish (on the worker pool when one is configured), behind
-  /// the wait() durability barrier. Only engaged for tool-less
+  /// rejection keeps the generation-0 body. The transform + proof run
+  /// in finalize(), just before the publish. Only engaged for tool-less
   /// sessions: the optimizer deletes instructions, which would change
   /// instrumentation callback sequences.
   bool OptTier = false;
@@ -202,9 +190,8 @@ public:
                     PersistOptions Opts = PersistOptions())
       : Db(Db), Opts(std::move(Opts)) {}
 
-  /// Quiesces the async pipeline: outstanding payload jobs are
-  /// cancelled/drained and a background finalize is waited for (its
-  /// outcome is discarded; call wait() first when it matters).
+  /// Quiesces the async prime: unclaimed payload jobs are cancelled
+  /// and in-flight ones waited for.
   ~PersistentSession() { (void)wait(nullptr); }
 
   PersistentSession(const PersistentSession &) = delete;
@@ -217,20 +204,20 @@ public:
   ErrorOr<PrimeResult> prime(dbi::Engine &Engine);
 
   /// Writes the persistent cache for \p Engine's application after its
-  /// run. Requires a prior prime() on the same engine. The write goes
-  /// through the store's transactional publish: when a concurrent
-  /// session finalized the same key since prime(), the two caches are
-  /// merged rather than clobbered.
+  /// run. Requires a prior prime() on the same engine. Runs on the
+  /// calling thread: on return the cache is published, or the store
+  /// failure is recorded in the engine's stats (or returned, under
+  /// FailFast). The write goes through the store's transactional
+  /// publish: when a concurrent session finalized the same key since
+  /// prime(), the two caches are merged rather than clobbered.
   Status finalize(dbi::Engine &Engine);
 
-  /// Durability barrier for the async pipeline: cancels payload jobs
-  /// no one will consume anymore, waits for in-flight ones (they read
-  /// the session-owned cache view), and blocks until a background
-  /// finalize publish completes. The publish outcome — store failure
-  /// and retry counts, circuit-breaker degradation — is merged into
-  /// *\p Stats when given, exactly as the synchronous path records it;
-  /// the returned Status is the FailFast error when one applies.
-  /// Idempotent; a no-op for synchronous sessions.
+  /// Quiesces the async prime: cancels payload jobs no one will consume
+  /// anymore, waits for in-flight ones (they read the session-owned
+  /// cache view), and reports the queue's scheduling outcomes to the
+  /// recording hooks. Always succeeds and leaves the stats untouched;
+  /// the parameter is kept for existing callers. Idempotent; a no-op
+  /// for synchronous sessions.
   Status wait(dbi::EngineStats *Stats);
 
   /// Database slot key for this application/engine/tool (valid after
@@ -275,29 +262,12 @@ private:
   const CacheDatabase &Db;
   PersistOptions Opts;
 
-  /// One deferred payload-validation job, recorded at install time and
-  /// turned into a queue job once LoadedView owns the file bytes.
-  struct AsyncPayloadJob {
-    uint32_t GuestStart = 0;   ///< Rebased start (the install key).
-    uint32_t TraceIndex = 0;   ///< Index into the source trace index.
-    uint32_t GuestInstCount = 0;
-    uint32_t CodeSize = 0;
-    uint32_t ExpectedCrc = 0;
-    int64_t RebaseDelta = 0;
-    std::vector<uint8_t> RelocMask;
-  };
-  std::vector<AsyncPayloadJob> AsyncJobs;
-  /// One payload validated exactly as the engine's inline
-  /// first-execution path does it (worker-side host work only).
-  static dbi::ReadyTrace validatePayload(const CacheFileView &View,
-                                         const AsyncPayloadJob &JD);
+  /// Deferred payload jobs recorded by installPlan(): each trace's
+  /// rebased start and a copy of its persisted payload, which outlives
+  /// the trace if a flush drops it before a worker runs.
+  std::vector<std::pair<uint32_t, dbi::PersistedPayload>> AsyncJobs;
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
-
-  /// Outcome slot for a background finalize publish (defined next to
-  /// the outcome types it stores, in Session.cpp).
-  struct FinalizeState;
-  std::shared_ptr<FinalizeState> Fin;
 
   /// State carried from prime() to finalize(). The view is shared
   /// because a borrowed pool hands it to the code cache as the

@@ -119,7 +119,7 @@ void ThreadPool::parallelFor(size_t N,
     return;
   }
   // Per-call completion state: waitAll() would also wait on unrelated
-  // tasks sharing the pool (e.g. a background finalize in flight).
+  // tasks sharing the pool (e.g. async-prime payload jobs in flight).
   struct LoopState {
     std::atomic<size_t> Next{0};
     std::atomic<size_t> Done{0};

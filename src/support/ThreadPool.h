@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A fixed-size worker pool shared by the persistence pipeline: async
-/// prime payload validation, background finalize publishing, and the
-/// parallel maintenance scans (pcc-dbcheck, findCompatible, stats).
+/// prime payload validation and the parallel maintenance scans
+/// (pcc-dbcheck, findCompatible, stats).
 ///
 /// Host threads here are an implementation vehicle, never part of the
 /// simulation: the cost model charges modeled cycles on the engine

@@ -2,10 +2,11 @@
 //
 // The parallel persistence pipeline: ThreadPool semantics, the
 // TraceInstallQueue worker/engine hand-off, determinism of async prime
-// and background finalize across worker counts (EngineStats must be
-// bit-identical for --jobs 1/4/16), fault-injected background
-// publishes, and the parallel maintenance scans (checkDatabase,
-// findCompatible, stats) against their serial baselines.
+// across worker counts (EngineStats must be bit-identical for --jobs
+// 1/4/16, bad payloads included), fault-injected publishes from
+// sessions that own a pool, and the parallel maintenance scans
+// (checkDatabase, findCompatible, stats) against their serial
+// baselines.
 //
 // Built as its own CTest executable (parallel_pipeline_test) so the
 // soak modes of scripts/check.sh can run exactly this binary under
@@ -28,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -185,18 +187,6 @@ std::vector<dbi::ReadyTrace> makeReadyChunk(std::vector<uint32_t> Starts) {
 
 } // namespace
 
-TEST(TraceInstallQueue, WorkersPublishAndEngineDrains) {
-  dbi::TraceInstallQueue Q;
-  for (uint32_t Start : {0x100u, 0x200u, 0x300u})
-    Q.addJob({Start}, [Start] { return makeReadyChunk({Start}); });
-  EXPECT_EQ(Q.jobCount(), 3u);
-  while (Q.runNextJob()) {
-  }
-  auto Ready = Q.drainReady();
-  ASSERT_EQ(Ready.size(), 3u);
-  EXPECT_TRUE(Q.drainReady().empty()); // Drain consumes.
-}
-
 TEST(TraceInstallQueue, TakeForWithdrawsUnclaimedJobs) {
   dbi::TraceInstallQueue Q;
   std::atomic<int> Ran{0};
@@ -241,7 +231,6 @@ TEST(TraceInstallQueue, TakeForReturnsWholeChunkForAnyMember) {
   // The chunk is consumed as a unit.
   EXPECT_TRUE(Q.takeFor(0x100).empty());
   EXPECT_TRUE(Q.takeFor(0x300).empty());
-  EXPECT_TRUE(Q.drainReady().empty());
 }
 
 TEST(TraceInstallQueue, TakeForNeverBlocksOnAnInFlightJob) {
@@ -263,9 +252,10 @@ TEST(TraceInstallQueue, TakeForNeverBlocksOnAnInFlightJob) {
   EXPECT_TRUE(Q.takeFor(0x100).empty());
   Release.store(true);
   Worker.join();
-  // The late result still publishes; the engine would drain it and
-  // ignore it against the already-materialized trace.
-  auto Ready = Q.drainReady();
+  // The late result still publishes; a chunk-mate's first execution
+  // would take it, and the entry of the already-materialized trace is
+  // never consumed.
+  auto Ready = Q.takeFor(0x100);
   ASSERT_EQ(Ready.size(), 1u);
   EXPECT_EQ(Ready[0].GuestStart, 0x100u);
 }
@@ -282,7 +272,7 @@ TEST(TraceInstallQueue, CancelPendingStopsWorkersAndQuiesces) {
   EXPECT_FALSE(Q.runNextJob());
   Q.waitInFlight(); // Nothing in flight: returns immediately.
   EXPECT_EQ(Ran.load(), 0);
-  EXPECT_TRUE(Q.drainReady().empty());
+  EXPECT_TRUE(Q.takeFor(0x100).empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -369,31 +359,114 @@ TEST(AsyncPrime, StatsBitIdenticalUnderPicRebase) {
   expectStatsEqual(Jobs1->Stats, Jobs8->Stats, "pic-rebase");
 }
 
-TEST(AsyncPrime, EagerValidateMaterializesEverythingAtPrime) {
-  TinyWorkload W = makeTinyWorkload(4, 0);
-  auto Input = W.allSlotsInput(2);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, Db);
-  ASSERT_TRUE(Cold.ok());
+namespace {
 
+/// The only cache file in \p Dir.
+std::string onlyCacheFile(const std::string &Dir) {
+  auto Names = listDirectory(Dir);
+  std::string Found;
+  if (Names)
+    for (const std::string &Name : *Names)
+      if (Name.size() > 4 && Name.substr(Name.size() - 4) == ".pcc") {
+        EXPECT_TRUE(Found.empty()) << "more than one cache file";
+        Found = Dir + "/" + Name;
+      }
+  EXPECT_FALSE(Found.empty()) << "no cache file in " << Dir;
+  return Found;
+}
+
+/// A warm run of \p W from \p Db driven through the session API. With
+/// workers, the pool finishes every payload chunk before the run
+/// starts, so each first execution consumes a worker's ReadyTrace.
+ErrorOr<PersistentRunResult>
+warmRunAfterJobsPublish(const TinyWorkload &W,
+                        const std::vector<uint8_t> &Input,
+                        const CacheDatabase &Db, size_t Workers) {
+  auto M = workloads::makeMachine(W.Registry, W.App, Input);
+  if (!M)
+    return M.status();
+  support::ThreadPool Pool(Workers);
   PersistOptions Opts;
-  Opts.EagerValidate = true;
-  auto Warm = workloads::runPersistent(W.Registry, W.App, Input, Db, Opts);
-  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
-  EXPECT_TRUE(Warm->Prime.CacheFound);
-  // Every installed payload was validated up front, and the guest
-  // still behaves identically.
-  EXPECT_EQ(Warm->Stats.TracePayloadsValidated,
-            Warm->Prime.TracesInstalled);
-  EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
+  Opts.Pool = &Pool;
+  dbi::Engine Engine(*M, nullptr);
+  PersistentSession Session(Db, Opts);
+  auto Prime = Session.prime(Engine);
+  if (!Prime)
+    return Prime.status();
+  Pool.waitAll();
+  PersistentRunResult Result;
+  Result.Prime = Prime.take();
+  Result.Run = Engine.run();
+  Status Finalized = Session.finalize(Engine);
+  if (!Finalized.ok())
+    return Finalized;
+  Result.Stats = Engine.stats();
+  return Result;
+}
+
+} // namespace
+
+TEST(AsyncPrime, BadPayloadsDropIdenticallyAcrossWorkerCounts) {
+  TinyWorkload W = makeTinyWorkload(6, 3);
+  auto Input = W.allSlotsInput(3);
+  // One kind of damage per ReadyTrace failure branch.
+  const std::pair<std::string, std::function<void(const std::string &)>>
+      Damages[] = {
+          {"payload byte flipped on disk (CRC mismatch)",
+           [](const std::string &Path) {
+             // The payload section offset is the u32 at header byte 56;
+             // the hottest trace's image comes first. Flip the low byte
+             // of its first immediate: the body still decodes, so only
+             // the CRC can catch the damage.
+             auto Bytes = readFile(Path);
+             ASSERT_TRUE(Bytes.ok());
+             uint32_t Off = 0;
+             for (unsigned I = 0; I != 4; ++I)
+               Off |= static_cast<uint32_t>((*Bytes)[56 + I]) << (8 * I);
+             Off += dbi::TracePrologueBytes + 4;
+             ASSERT_LT(Off, Bytes->size());
+             (*Bytes)[Off] ^= 0xff;
+             ASSERT_TRUE(writeFileAtomic(Path, *Bytes).ok());
+           }},
+          {"out-of-range opcode behind valid CRCs (decode error)",
+           [](const std::string &Path) {
+             auto Bytes = readFile(Path);
+             ASSERT_TRUE(Bytes.ok());
+             auto File = CacheFile::deserialize(*Bytes);
+             ASSERT_TRUE(File.ok());
+             ASSERT_FALSE(File->Traces.empty());
+             File->Traces.front().Code[dbi::TracePrologueBytes] = 0xff;
+             ASSERT_TRUE(writeFileAtomic(Path, File->serialize()).ok());
+           }},
+      };
+  for (const auto &[Label, Damage] : Damages) {
+    std::vector<PersistentRunResult> Runs;
+    for (size_t Workers : {0u, 4u}) {
+      TempDir Dir;
+      CacheDatabase Db(Dir.path());
+      ASSERT_TRUE(
+          workloads::runPersistent(W.Registry, W.App, Input, Db).ok());
+      Damage(onlyCacheFile(Dir.path()));
+      auto Warm = warmRunAfterJobsPublish(W, Input, Db, Workers);
+      ASSERT_TRUE(Warm.ok()) << Label << ": " << Warm.status().toString();
+      EXPECT_EQ(Warm->Prime.PayloadJobsQueued > 0, Workers > 0) << Label;
+      Runs.push_back(Warm.take());
+    }
+    EXPECT_GT(Runs[0].Stats.TracesDroppedCorrupt, 0u) << Label;
+    EXPECT_EQ(Runs[0].Stats.TracesDroppedCorrupt,
+              Runs[1].Stats.TracesDroppedCorrupt)
+        << Label;
+    EXPECT_TRUE(Runs[0].Run.observablyEquals(Runs[1].Run)) << Label;
+    expectStatsEqual(Runs[0].Stats, Runs[1].Stats, Label);
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Background finalize: fault injection and the wait() barrier.
+// Finalize in a session that owns a worker pool: fault injection, and
+// the publish happening before finalize() returns.
 //===----------------------------------------------------------------------===//
 
-TEST(BackgroundFinalize, PublishLandsAndNextRunPrimesFromIt) {
+TEST(FinalizeWithPool, PublishLandsAndNextRunPrimesFromIt) {
   TinyWorkload W = makeTinyWorkload(4, 2);
   auto Input = W.allSlotsInput(2);
   TempDir Dir;
@@ -410,11 +483,11 @@ TEST(BackgroundFinalize, PublishLandsAndNextRunPrimesFromIt) {
   EXPECT_GT(Warm->Stats.TracesReused, 0u);
 }
 
-TEST(BackgroundFinalize, BreakerDegradesIdenticallyToSyncPath) {
+TEST(FinalizeWithPool, BreakerDegradesAsWithoutAPool) {
   TinyWorkload W = makeTinyWorkload(3, 0);
   auto Input = W.allSlotsInput(2);
 
-  // Sync baseline under a deterministic always-fail plan.
+  // Baseline without a pool under a deterministic always-fail plan.
   dbi::EngineStats SyncStats;
   {
     TempDir Dir;
@@ -426,8 +499,8 @@ TEST(BackgroundFinalize, BreakerDegradesIdenticallyToSyncPath) {
     EXPECT_TRUE(R->Stats.PersistDegraded);
     SyncStats = R->Stats;
   }
-  // Same plan, publish on the pool: the degradation, its reason and
-  // the failure counts must merge back identically at wait().
+  // Same plan with a pool: the degradation, its reason and the failure
+  // counts must be recorded identically.
   {
     TempDir Dir;
     CacheDatabase Db(Dir.path());
@@ -442,27 +515,35 @@ TEST(BackgroundFinalize, BreakerDegradesIdenticallyToSyncPath) {
     EXPECT_EQ(R->Stats.PersistStoreFailures,
               SyncStats.PersistStoreFailures);
     // The reason embeds the per-run temp path, so compare the stable
-    // part: both paths failed on the same injected error.
+    // part: both runs failed on the same injected error.
     EXPECT_NE(R->Stats.PersistDegradeReason.find("no space left"),
               std::string::npos)
         << R->Stats.PersistDegradeReason;
   }
 }
 
-TEST(BackgroundFinalize, FailFastSurfacesTheStoreErrorFromWait) {
+TEST(FinalizeWithPool, FailFastReturnsTheStoreErrorFromFinalize) {
   TinyWorkload W = makeTinyWorkload(2, 0);
   TempDir Dir;
   CacheDatabase Db(Dir.path());
   support::ThreadPool Pool(2);
-  FaultScope Scope;
-  FaultInjector::instance().armProbability(FaultOp::Enospc, 1.0);
+  auto M = workloads::makeMachine(W.Registry, W.App, W.allSlotsInput(1));
+  ASSERT_TRUE(M.ok()) << M.status().toString();
+  dbi::Engine Engine(*M, nullptr);
   PersistOptions Opts;
   Opts.FailFast = true;
   Opts.Pool = &Pool;
-  auto R = workloads::runPersistent(W.Registry, W.App,
-                                    W.allSlotsInput(1), Db, Opts);
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.status().code(), ErrorCode::IoError);
+  PersistentSession Session(Db, Opts);
+  ASSERT_TRUE(Session.prime(Engine).ok());
+  Engine.run();
+
+  FaultScope Scope;
+  FaultInjector::instance().armProbability(FaultOp::Enospc, 1.0);
+  // The publish runs inside finalize(), pool or not: the store error is
+  // finalize()'s own result, and wait() has nothing left to report.
+  Status Finalized = Session.finalize(Engine);
+  EXPECT_EQ(Finalized.code(), ErrorCode::IoError) << Finalized.toString();
+  EXPECT_TRUE(Session.wait(&Engine.stats()).ok());
 }
 
 //===----------------------------------------------------------------------===//

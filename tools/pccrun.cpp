@@ -476,11 +476,10 @@ int main(int Argc, char **Argv) {
     Opts.WriteBack = !ReadOnly;
     Opts.ValidateSemantic = Validate;
     Opts.OptTier = OptTier;
-    // The pool outlives the run: runPersistent's session waits for the
-    // background publish and any in-flight payload jobs before it
-    // returns, so destruction order here is safe. Background priority:
-    // the pipeline exists to hide latency, never to compete with the
-    // engine thread for the CPU.
+    // The pool outlives the run: runPersistent's session waits for any
+    // in-flight payload jobs before it returns, so destruction order
+    // here is safe. Background priority: async prime exists to hide
+    // latency, never to compete with the engine thread for the CPU.
     std::unique_ptr<support::ThreadPool> Pool;
     if (Jobs > 1) {
       Pool = std::make_unique<support::ThreadPool>(Jobs,
