@@ -566,23 +566,80 @@ BENCHMARK(BM_FleetConvergence)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_EngineThroughput(benchmark::State &State) {
-  Fixture &F = fixture();
+/// Input of the engine-throughput benchmark: every region, 50 times.
+std::vector<uint8_t> engineThroughputInput() {
   std::vector<workloads::WorkItem> Items;
   for (uint32_t I = 0; I != 16; ++I)
     Items.push_back(workloads::WorkItem{I, 50});
-  auto Input = workloads::encodeWorkload(Items);
+  return workloads::encodeWorkload(Items);
+}
+
+/// The shared fixture's program on the engine-throughput input,
+/// persisted with the optimization tier on until its hot traces run as
+/// promoted (generation >= 1) bodies.
+struct PromotedEngineFixture {
+  bench::ScratchDir Dir{"pcc-bench-engine-opt"};
+  persist::CacheDatabase Db{Dir.path()};
+
+  PromotedEngineFixture() {
+    Fixture &F = fixture();
+    persist::PersistOptions Opt;
+    Opt.OptTier = true;
+    // A cold run, then a warm run whose finalize promotes the hot traces.
+    for (int Run = 0; Run != 2; ++Run)
+      bench::mustOk(workloads::runPersistent(F.Registry, F.App,
+                                             engineThroughputInput(), Db,
+                                             Opt),
+                    "run populating the promoted engine cache");
+  }
+};
+
+PromotedEngineFixture &promotedEngineFixture() {
+  static PromotedEngineFixture F;
+  return F;
+}
+
+/// Guest instructions per second under the engine with no tool. Arg 0
+/// runs without persistence, so every body is a freshly compiled
+/// generation-0 body threaded in place; Arg 1 primes read-only from a
+/// warm opt-tier database, so the hot traces run as promoted bodies
+/// over their live-op streams. Arg 1 skips certificate checks to keep
+/// the time on execution; its label reports the Nop slots the streams
+/// compacted away.
+void BM_EngineThroughput(benchmark::State &State) {
+  Fixture &F = fixture();
+  const bool Promoted = State.range(0) != 0;
+  const std::vector<uint8_t> Input = engineThroughputInput();
+  const persist::CacheDatabase *Db =
+      Promoted ? &promotedEngineFixture().Db : nullptr;
+  persist::PersistOptions ReadOnly;
+  ReadOnly.WriteBack = false;
+  ReadOnly.CheckCertificates = false;
   uint64_t GuestInsts = 0;
+  uint64_t OptNops = 0;
   for (auto _ : State) {
-    auto R = workloads::runUnderEngine(F.Registry, F.App, Input);
-    if (R)
+    if (Promoted) {
+      auto R =
+          workloads::runPersistent(F.Registry, F.App, Input, *Db, ReadOnly);
+      if (!R || !R->Prime.CacheFound || R->Stats.OptNopsExecuted == 0)
+        std::abort(); // The leg must run promoted bodies.
       GuestInsts += R->Run.InstructionsExecuted;
-    benchmark::DoNotOptimize(R);
+      OptNops = R->Stats.OptNopsExecuted;
+      benchmark::DoNotOptimize(R);
+    } else {
+      auto R = workloads::runUnderEngine(F.Registry, F.App, Input);
+      if (R)
+        GuestInsts += R->Run.InstructionsExecuted;
+      benchmark::DoNotOptimize(R);
+    }
   }
   State.SetItemsProcessed(static_cast<int64_t>(GuestInsts));
-  State.SetLabel("guest insts/s");
+  State.SetLabel(Promoted ? formatString("guest insts/s, %llu promoted "
+                                         "nop slots per run",
+                                         (unsigned long long)OptNops)
+                          : std::string("guest insts/s"));
 }
-BENCHMARK(BM_EngineThroughput);
+BENCHMARK(BM_EngineThroughput)->Arg(0)->Arg(1);
 
 /// A persisted database plus the serialized guest module that resolves
 /// it, for the deep semantic-verification benchmark.

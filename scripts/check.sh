@@ -77,12 +77,15 @@
 #                                    vm_test, dbi_test, property_test,
 #                                    xip_test and opt_tier_test binaries
 #                                    under ASan and then UBSan (the
-#                                    executor's page fast paths and Nop
-#                                    skip tables index memory through
-#                                    raw pointers; the suites drive the
-#                                    page-boundary faults, promoted Nop
-#                                    bodies and engine/interpreter
-#                                    equivalence through them)
+#                                    executor's page fast paths, its
+#                                    opcode dispatch table and the
+#                                    promoted bodies' live-op streams
+#                                    index memory through raw pointers;
+#                                    the suites drive the page-boundary
+#                                    faults, promoted Nop bodies and
+#                                    the ExecutorEquivalence check of
+#                                    the threaded loop, the tool loop
+#                                    and the interpreter through them)
 #   scripts/check.sh --perfbench     end-to-end benchmark self-check:
 #                                    python3 perfbench/test_perfbench.py
 #                                    builds pcc-perfbench and runs every

@@ -17,22 +17,15 @@ TraceExit *TranslatedTrace::findBranchExit(uint32_t InstIndex) {
   return nullptr;
 }
 
-void TranslatedTrace::buildNopSkipTable() {
+void TranslatedTrace::buildLiveOps() {
   const std::span<const isa::Instruction> Slots = body();
-  const auto Size = static_cast<uint32_t>(Slots.size());
-  NopSkip.resize(Size + 1);
-  uint32_t Nops = 0;
-  for (uint32_t I = 0; I != Size; ++I) {
-    NopSkip[I].NopsBefore = Nops;
-    Nops += Slots[I].Op == isa::Opcode::Nop ? 1 : 0;
-  }
-  NopSkip[Size] = NopSkipEntry{Size, Nops};
-  uint32_t NextLive = Size;
-  for (uint32_t I = Size; I-- != 0;) {
+  LiveOps.reserve(std::count_if(
+      Slots.begin(), Slots.end(),
+      [](const isa::Instruction &I) { return I.Op != isa::Opcode::Nop; }));
+  for (uint32_t I = 0; I != Slots.size(); ++I)
     if (Slots[I].Op != isa::Opcode::Nop)
-      NextLive = I;
-    NopSkip[I].NextLive = NextLive;
-  }
+      LiveOps.push_back(LiveOp{Slots[I], I});
+  LiveOpsBuilt = true;
 }
 
 TranslatedTrace *CodeCache::lookup(uint32_t GuestAddr) const {

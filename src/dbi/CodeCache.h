@@ -69,14 +69,12 @@ struct PersistedPayload {
   bool Xip = false;
 };
 
-/// One entry of a body's host-side Nop-skip table: one per body slot,
-/// plus a sentinel for the slot past the end.
-struct NopSkipEntry {
-  /// First slot at or after this one that is not a Nop (the body size
-  /// when there is none).
-  uint32_t NextLive = 0;
-  /// Nop slots before this one.
-  uint32_t NopsBefore = 0;
+/// One op of a promoted body's live-op stream: a body instruction that
+/// is not a Nop, and the body slot it occupies. Exits, faults and guest
+/// PCs are addressed by the slot, so the compaction never shows.
+struct LiveOp {
+  isa::Instruction Inst;
+  uint32_t Slot = 0;
 };
 
 /// A compiled trace resident in the code cache.
@@ -125,14 +123,14 @@ public:
     Materialized = true;
   }
 
-  /// The Nop-skip table of the materialized body (GuestInstCount + 1
-  /// entries), built on first call. Host-side only: the executor uses
-  /// it to jump over the Nop slots of promoted bodies and still count
-  /// them exactly; it is never persisted.
-  std::span<const NopSkipEntry> nopSkipTable() {
-    if (NopSkip.empty())
-      buildNopSkipTable();
-    return NopSkip;
+  /// The live-op stream of the materialized body: its non-Nop slots in
+  /// order, built on first call. Host-side only and never persisted:
+  /// the executor runs promoted bodies over it, so their Nop slots cost
+  /// no host time, and recovers the Nop count from the slot numbers.
+  std::span<const LiveOp> liveOps() {
+    if (!LiveOpsBuilt)
+      buildLiveOps();
+    return LiveOps;
   }
 
   /// True when body() views a borrowed mapping rather than owned memory.
@@ -189,8 +187,9 @@ public:
 
   /// Optimization generation carried in from the persistent cache file
   /// (0 for freshly compiled or unpromoted traces). Promoted bodies
-  /// earn a modeled execution discount for their Nop slots, and
-  /// finalize re-persists the generation so it survives accumulation.
+  /// earn a modeled execution discount for their Nop slots and run
+  /// over their live-op stream when no tool is attached; finalize
+  /// re-persists the generation so it survives accumulation.
   uint32_t optGen() const { return OptGen; }
   void setOptGen(uint32_t Gen) { OptGen = Gen; }
 
@@ -204,7 +203,7 @@ public:
   }
 
 private:
-  void buildNopSkipTable();
+  void buildLiveOps();
 
   uint32_t GuestStart;
   uint32_t GuestInstCount;
@@ -217,8 +216,9 @@ private:
   std::vector<isa::Instruction> Body;
   /// Non-null when the body executes in place from a borrowed mapping.
   const isa::Instruction *BorrowedBody = nullptr;
-  /// Built by nopSkipTable(); empty until then.
-  std::vector<NopSkipEntry> NopSkip;
+  /// Built by liveOps(); empty until then.
+  std::vector<LiveOp> LiveOps;
+  bool LiveOpsBuilt = false;
   std::vector<std::pair<TranslatedTrace *, uint32_t>> Incoming;
   uint64_t ExecCount = 0;
   uint32_t PersistedHeat = 0;

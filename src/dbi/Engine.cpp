@@ -6,9 +6,10 @@
 #include "vm/Exec.h"
 #include "vm/Threads.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <optional>
-#include <type_traits>
 
 using namespace pcc;
 using namespace pcc::dbi;
@@ -197,6 +198,69 @@ uint32_t basicBlockSize(std::span<const Instruction> Body,
   return static_cast<uint32_t>(Body.size()) - StartIndex;
 }
 
+/// How control left a trace body.
+struct BodyExit {
+  /// The exiting instruction's step; Sequential when the body ran off
+  /// its end (the trace-length cutoff's fall-through exit).
+  vm::StepResult Step;
+  /// Body slot of the exiting instruction: the faulting one, the one
+  /// that left, or the last slot when the body ran off its end.
+  uint32_t Slot = 0;
+  /// Nop slots of a promoted body that the exit counts as executed.
+  uint32_t OptNops = 0;
+};
+
+const Instruction &instOf(const Instruction &Inst) { return Inst; }
+const Instruction &instOf(const LiveOp &Op) { return Op.Inst; }
+uint32_t slotOf(const Instruction *P, const Instruction *Begin) {
+  return static_cast<uint32_t>(P - Begin);
+}
+uint32_t slotOf(const LiveOp *P, const LiveOp *) { return P->Slot; }
+
+/// The tool-less trace executor: runs the ops [\p Begin, \p End) of a
+/// body of \p BodySize slots until one leaves the trace or the ops run
+/// out. \p OpT is Instruction for a body threaded in place (every slot
+/// is an op) and LiveOp for a promoted body's live-op stream. Dispatch
+/// is threaded: each handler ends in its own jump through the opcode
+/// table, so every opcode gets its own indirect-branch history.
+template <typename OpT>
+BodyExit runThreaded(const OpT *Begin, const OpT *End, uint32_t BodySize,
+                     uint32_t TraceStart, vm::CpuState &Cpu,
+                     loader::AddressSpace &Space, vm::SyscallEnv &Env) {
+#define PCC_EXEC_LABEL(Name) &&Exec##Name,
+  static void *const Table[] = {PCC_VM_OPCODES(PCC_EXEC_LABEL)};
+#undef PCC_EXEC_LABEL
+  static_assert(std::size(Table) ==
+                    static_cast<size_t>(Opcode::NumOpcodes),
+                "one handler per opcode");
+  const OpT *P = Begin;
+  if (P == End)
+    goto RanOff;
+  goto *Table[static_cast<uint8_t>(instOf(*P).Op)];
+
+  // An exit at P has passed P - Begin ops; the other slots before its
+  // own were Nops (none when the body is threaded in place).
+#define PCC_EXEC_HANDLER(Name)                                             \
+  Exec##Name : {                                                           \
+    const uint32_t Slot = slotOf(P, Begin);                                \
+    const vm::StepResult Step = vm::stepOp<Opcode::Name>(                  \
+        instOf(*P), TraceStart + Slot * isa::InstructionSize, Cpu, Space,  \
+        Env);                                                              \
+    if (Step.Kind != vm::StepKind::Sequential)                             \
+      return BodyExit{Step, Slot, Slot - static_cast<uint32_t>(P - Begin)}; \
+    if (++P == End)                                                        \
+      goto RanOff;                                                         \
+    goto *Table[static_cast<uint8_t>(instOf(*P).Op)];                      \
+  }
+  PCC_VM_OPCODES(PCC_EXEC_HANDLER)
+#undef PCC_EXEC_HANDLER
+
+RanOff:
+  return BodyExit{{vm::StepKind::Sequential, 0},
+                  BodySize - 1,
+                  BodySize - static_cast<uint32_t>(End - Begin)};
+}
+
 /// A direct exit waiting to be linked once its target trace exists.
 struct PendingLink {
   TranslatedTrace *From = nullptr;
@@ -287,12 +351,72 @@ vm::RunResult Engine::run() {
     // their Nop slots: the optimizer proved the slot's work redundant,
     // so a real backend would not emit it. Gen-0 bodies get no discount
     // even when flag elision produced Nops, keeping unpromoted runs
-    // bit-identical to the pre-opt-tier engine. The skip table lets the
-    // host skip those slots too, and counts them exactly.
-    const NopSkipEntry *Skip =
-        Current->optGen() > 0 ? Current->nopSkipTable().data() : nullptr;
+    // bit-identical to the pre-opt-tier engine.
+    const bool Promoted = Current->optGen() > 0;
     TranslatedTrace *Next = nullptr;
     vm::CpuState &Cpu = Threads.current().Cpu;
+
+    // The instrumented trace body loop: step() over every slot, because
+    // tools observe every slot, Nops and a faulting one included. The
+    // tool-less run takes runThreaded() instead, so the null-tool
+    // baseline pays none of the Spec checks.
+    auto runInstrumented = [&]() -> BodyExit {
+      for (uint32_t Index = 0;; ++Index) {
+        const Instruction &Inst = Body[Index];
+        const uint32_t InstPc =
+            TraceStart + Index * isa::InstructionSize;
+
+        // Analysis callbacks compiled in by the tool.
+        if (Spec.BasicBlocks && Index == 0) {
+          ClientTool->onBasicBlock(InstPc, basicBlockSize(Body, 0));
+          Stats.ToolCycles += Costs.AnalysisCyclesPerBlockCall;
+        }
+        if (Spec.Instructions) {
+          ClientTool->onInstruction(InstPc);
+          Stats.ToolCycles += Costs.AnalysisCyclesPerInstCall;
+        }
+        if (Spec.MemoryAccesses && isa::isMemoryAccess(Inst.Op)) {
+          uint32_t EffectiveAddr = Cpu.Regs[Inst.Rs1] + Inst.Imm;
+          ClientTool->onMemoryAccess(InstPc, EffectiveAddr,
+                                     Inst.Op == Opcode::St);
+          Stats.ToolCycles += Costs.AnalysisCyclesPerMemoryCall;
+        }
+
+        const vm::StepResult Step =
+            vm::step(Inst, InstPc, Cpu, Space, Env);
+        if (Step.Kind != vm::StepKind::Sequential || Index + 1 == BodySize)
+          return BodyExit{Step, Index, 0};
+        if (isa::isConditionalBranch(Inst.Op) && Spec.BasicBlocks) {
+          // Fell through into the next basic block of this trace.
+          uint32_t NextBlockPc = InstPc + isa::InstructionSize;
+          ClientTool->onBasicBlock(NextBlockPc,
+                                   basicBlockSize(Body, Index + 1));
+          Stats.ToolCycles += Costs.AnalysisCyclesPerBlockCall;
+        }
+      }
+    };
+
+    const bool Instrumented =
+        Spec.BasicBlocks || Spec.Instructions || Spec.MemoryAccesses;
+    BodyExit Exit;
+    if (Instrumented) {
+      Exit = runInstrumented();
+    } else if (Promoted) {
+      const std::span<const LiveOp> Ops = Current->liveOps();
+      Exit = runThreaded(Ops.data(), Ops.data() + Ops.size(), BodySize,
+                         TraceStart, Cpu, Space, Env);
+    } else {
+      Exit = runThreaded(Body.data(), Body.data() + BodySize, BodySize,
+                         TraceStart, Cpu, Space, Env);
+    }
+    // Every slot through the exit slot ran, or those before a faulting
+    // one.
+    const uint32_t Executed =
+        Exit.Slot + (Exit.Step.Kind == vm::StepKind::Faulted ? 0 : 1);
+    if (Instrumented && Promoted)
+      Exit.OptNops = static_cast<uint32_t>(std::count_if(
+          Body.begin(), Body.begin() + Executed,
+          [](const Instruction &I) { return I.Op == Opcode::Nop; }));
 
     // Leaves the trace through linkable \p Exit: straight into the
     // linked successor, or to the dispatcher, which links it.
@@ -308,126 +432,71 @@ vm::RunResult Engine::run() {
           Cache.modificationGeneration()};
     };
 
-    // The trace body loop, stamped out three times: instrumented,
-    // plain, and plain with Nop skipping. The null-tool baseline must
-    // not pay the three Spec branches per guest instruction, so the
-    // tool dispatch is decided once per trace and `if constexpr`
-    // deletes the checks from the fast copies. Tools observe every
-    // slot, Nops included, so only the plain loop skips. Returns the
-    // number of body slots executed: every slot through the exit slot,
-    // or those before a faulting one.
-    auto runBody = [&](auto WithToolTag, auto SkipNopsTag) -> uint32_t {
-      constexpr bool WithTool = decltype(WithToolTag)::value;
-      constexpr bool SkipNops = decltype(SkipNopsTag)::value;
-      uint32_t Index = SkipNops ? Skip[0].NextLive : 0;
-      while (Index != BodySize) {
-        const Instruction &Inst = Body[Index];
-        const uint32_t InstPc =
-            TraceStart + Index * isa::InstructionSize;
-
-        if constexpr (WithTool) {
-          // Analysis callbacks compiled in by the tool.
-          if (Spec.BasicBlocks && Index == 0) {
-            ClientTool->onBasicBlock(InstPc, basicBlockSize(Body, 0));
-            Stats.ToolCycles += Costs.AnalysisCyclesPerBlockCall;
-          }
-          if (Spec.Instructions) {
-            ClientTool->onInstruction(InstPc);
-            Stats.ToolCycles += Costs.AnalysisCyclesPerInstCall;
-          }
-          if (Spec.MemoryAccesses && isa::isMemoryAccess(Inst.Op)) {
-            uint32_t EffectiveAddr = Cpu.Regs[Inst.Rs1] + Inst.Imm;
-            ClientTool->onMemoryAccess(InstPc, EffectiveAddr,
-                                       Inst.Op == Opcode::St);
-            Stats.ToolCycles += Costs.AnalysisCyclesPerMemoryCall;
-          }
-        }
-
-        const vm::StepResult Step =
-            vm::step(Inst, InstPc, Cpu, Space, Env);
-        switch (Step.Kind) {
-        case vm::StepKind::Sequential:
-          if constexpr (WithTool) {
-            if (isa::isConditionalBranch(Inst.Op) && Spec.BasicBlocks &&
-                Index + 1 != BodySize) {
-              // Fell through into the next basic block of this trace.
-              uint32_t NextBlockPc = InstPc + isa::InstructionSize;
-              ClientTool->onBasicBlock(NextBlockPc,
-                                       basicBlockSize(Body, Index + 1));
-              Stats.ToolCycles += Costs.AnalysisCyclesPerBlockCall;
-            }
-          }
-          Index = SkipNops ? Skip[Index + 1].NextLive : Index + 1;
-          continue;
-
-        case vm::StepKind::Control: {
-          TraceExit *Exit = isa::isConditionalBranch(Inst.Op)
-                                ? Current->findBranchExit(Index)
-                                : &Current->finalExit();
-          assert(Exit && "control transfer without an exit record");
-          if (Exit->Kind == ExitKind::Indirect) {
-            // Inline indirect-target lookup; a hit stays in the cache, a
-            // miss surfaces through the dispatcher.
-            Stats.IndirectCycles += Costs.IndirectLookupCycles;
-            Pc = Step.NextPc;
-            Next = Cache.lookup(Pc);
-            return Index + 1;
-          }
-          assert(Exit->Target == Step.NextPc && "exit target mismatch");
-          leaveThrough(Exit);
-          return Index + 1;
-        }
-
-        case vm::StepKind::Syscall: {
-          // Control leaves the code cache for the emulation unit; the
-          // syscall exit is never linked. This is also the cooperative
-          // thread-switch point — the same point the interpreter
-          // switches at, so interleavings match across engines.
-          Stats.EmulationCycles += Costs.SyscallEmulationCycles;
-          auto Alive = Threads.afterSyscall(Env, Space, Step.NextPc);
-          if (!Alive) {
-            Result.Error = Alive.status();
-            Done = true;
-          } else if (!*Alive) {
-            Done = true; // Every thread exited: program ends, code 0.
-          } else {
-            Pc = Threads.current().Cpu.Pc;
-          }
-          return Index + 1;
-        }
-
-        case vm::StepKind::Halted:
-          Done = true;
-          return Index + 1;
-
-        case vm::StepKind::Faulted:
-          Result.Error = vm::faultStatus(Inst, InstPc, Step);
-          Done = true;
-          return Index;
-        }
-      }
-      // Ran off the end of the body (its last slots may be skipped
-      // Nops): the instruction-limit cutoff's fall-through exit.
-      TraceExit *Exit = &Current->finalExit();
-      assert(Exit->Kind == ExitKind::FallThrough &&
+    const Instruction &ExitInst = Body[Exit.Slot];
+    switch (Exit.Step.Kind) {
+    case vm::StepKind::Sequential: {
+      // Ran off the end of the body: the trace-length cutoff's
+      // fall-through exit.
+      TraceExit *FallThrough = &Current->finalExit();
+      assert(FallThrough->Kind == ExitKind::FallThrough &&
              "missing fall-through exit");
-      leaveThrough(Exit);
-      return BodySize;
-    };
-    uint32_t Executed = 0;
-    if (Spec.BasicBlocks || Spec.Instructions || Spec.MemoryAccesses)
-      Executed = runBody(std::true_type{}, std::false_type{});
-    else if (Skip)
-      Executed = runBody(std::false_type{}, std::true_type{});
-    else
-      Executed = runBody(std::false_type{}, std::false_type{});
+      leaveThrough(FallThrough);
+      break;
+    }
+
+    case vm::StepKind::Control: {
+      TraceExit *Taken = isa::isConditionalBranch(ExitInst.Op)
+                             ? Current->findBranchExit(Exit.Slot)
+                             : &Current->finalExit();
+      assert(Taken && "control transfer without an exit record");
+      if (Taken->Kind == ExitKind::Indirect) {
+        // Inline indirect-target lookup; a hit stays in the cache, a
+        // miss surfaces through the dispatcher.
+        Stats.IndirectCycles += Costs.IndirectLookupCycles;
+        Pc = Exit.Step.NextPc;
+        Next = Cache.lookup(Pc);
+        break;
+      }
+      assert(Taken->Target == Exit.Step.NextPc && "exit target mismatch");
+      leaveThrough(Taken);
+      break;
+    }
+
+    case vm::StepKind::Syscall: {
+      // Control leaves the code cache for the emulation unit; the
+      // syscall exit is never linked. This is also the cooperative
+      // thread-switch point — the same point the interpreter switches
+      // at, so interleavings match across engines.
+      Stats.EmulationCycles += Costs.SyscallEmulationCycles;
+      auto Alive = Threads.afterSyscall(Env, Space, Exit.Step.NextPc);
+      if (!Alive) {
+        Result.Error = Alive.status();
+        Done = true;
+      } else if (!*Alive) {
+        Done = true; // Every thread exited: program ends, code 0.
+      } else {
+        Pc = Threads.current().Cpu.Pc;
+      }
+      break;
+    }
+
+    case vm::StepKind::Halted:
+      Done = true;
+      break;
+
+    case vm::StepKind::Faulted:
+      Result.Error = vm::faultStatus(
+          ExitInst, TraceStart + Exit.Slot * isa::InstructionSize,
+          Exit.Step);
+      Done = true;
+      break;
+    }
 
     // Account the trace's guest work once, from its exit slot: the
     // instruction limit and the compile timeline read these counters at
     // the dispatcher, which runs only between traces.
     Stats.GuestInstsExecuted += Executed;
-    if (Skip)
-      Stats.OptNopsExecuted += Skip[Executed].NopsBefore;
+    Stats.OptNopsExecuted += Exit.OptNops;
 
     Current = Next;
   }

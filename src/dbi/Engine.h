@@ -89,6 +89,11 @@ public:
          EngineOptions Opts = EngineOptions());
 
   /// Executes the guest to completion. Callable once per Engine.
+  /// Without a tool, trace bodies run in a threaded loop expanded from
+  /// vm/Exec.h's opcode table: generation-0 bodies in place, promoted
+  /// ones over their live-op streams (TranslatedTrace::liveOps()). With
+  /// a tool they run through vm::step() slot by slot, because tools
+  /// observe every slot.
   vm::RunResult run();
 
   CodeCache &cache() { return Cache; }

@@ -6,15 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one and only definition of guest instruction semantics.
-/// The reference interpreter and the DBI engine's translated-trace
-/// executor both call step(), which guarantees the paper's correctness
-/// baseline: running under the run-time compiler must be observably
-/// identical to native execution.
+/// The one and only definition of guest instruction semantics: one
+/// always-inline stepOp<Op>() per opcode, listed once by
+/// PCC_VM_OPCODES. Two executors are expanded from that list, which
+/// keeps the paper's correctness baseline — running under the run-time
+/// compiler must be observably identical to native execution:
 ///
-/// step() is inline and returns an 8-byte StepResult, so the executors
-/// pay only for the guest work. A fault comes back as StepKind::Faulted;
-/// its Status, with the guest-visible message, is built out of line by
+///  - step() switches over the list. The reference interpreter and the
+///    DBI engine's instrumented loop call it; they visit every slot,
+///    because tools observe Nops and faulting instructions too.
+///  - dbi::Engine's tool-less trace loop threads its dispatch through a
+///    labels-as-values table with one handler per listed opcode.
+///
+/// stepOp() returns an 8-byte StepResult, so the executors pay only for
+/// the guest work. A fault comes back as StepKind::Faulted; its Status,
+/// with the guest-visible message, is built out of line by
 /// faultStatus() on the cold path.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,6 +31,8 @@
 #include "isa/Instruction.h"
 #include "loader/AddressSpace.h"
 #include "vm/Cpu.h"
+
+#include <iterator>
 
 namespace pcc {
 namespace vm {
@@ -52,13 +60,45 @@ static_assert(sizeof(StepResult) == 8, "StepResult must stay register-sized");
 [[gnu::cold]] Status faultStatus(const isa::Instruction &Inst, uint32_t Pc,
                                  StepResult Fault);
 
-/// Executes \p Inst located at \p Pc against \p Cpu / \p Space / \p Env.
-/// Does not modify Cpu.Pc; the caller advances to the returned NextPc.
-/// A faulting instruction changes no register; a page-spanning store
-/// that faults has written the bytes before the first unmapped one.
+/// Every opcode, in isa::Opcode order, as X(Name). step()'s switch and
+/// the trace executor's dispatch table are both expanded from it.
+#define PCC_VM_OPCODES(X)                                                  \
+  X(Nop) X(Halt) X(Add) X(Sub) X(Mul) X(Divu) X(And) X(Or) X(Xor) X(Shl)  \
+  X(Shr) X(Sltu) X(Seq) X(Addi) X(Muli) X(Andi) X(Ori) X(Xori) X(Shli)    \
+  X(Shri) X(Sltiu) X(Ldi) X(Ld) X(St) X(Beq) X(Bne) X(Bltu) X(Bgeu)      \
+  X(Jmp) X(Jr) X(Call) X(Callr) X(Ret) X(Sys)
+
+namespace detail {
+#define PCC_VM_LISTED_OPCODE(Name) isa::Opcode::Name,
+inline constexpr isa::Opcode ListedOpcodes[] = {
+    PCC_VM_OPCODES(PCC_VM_LISTED_OPCODE)};
+#undef PCC_VM_LISTED_OPCODE
+
+/// True when PCC_VM_OPCODES lists every opcode exactly once, in
+/// encoding order, so a table expanded from it is indexed by opcode.
+constexpr bool opcodeListMatchesEnum() {
+  if (std::size(ListedOpcodes) !=
+      static_cast<size_t>(isa::Opcode::NumOpcodes))
+    return false;
+  for (size_t I = 0; I != std::size(ListedOpcodes); ++I)
+    if (static_cast<size_t>(ListedOpcodes[I]) != I)
+      return false;
+  return true;
+}
+} // namespace detail
+static_assert(detail::opcodeListMatchesEnum(),
+              "PCC_VM_OPCODES must list isa::Opcode in encoding order");
+
+/// Executes \p Inst, whose opcode is \p Op, located at \p Pc against
+/// \p Cpu / \p Space / \p Env. Does not modify Cpu.Pc; the caller
+/// advances to the returned NextPc. A faulting instruction changes no
+/// register; a page-spanning store that faults has written the bytes
+/// before the first unmapped one. Op == NumOpcodes stands for every
+/// invalid opcode, which faults at its own PC.
+template <isa::Opcode Op>
 [[gnu::always_inline]] inline StepResult
-step(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
-     loader::AddressSpace &Space, SyscallEnv &Env) {
+stepOp(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
+       loader::AddressSpace &Space, SyscallEnv &Env) {
   using isa::Opcode;
   const uint32_t FallThrough = Pc + isa::InstructionSize;
   auto &Regs = Cpu.Regs;
@@ -67,7 +107,7 @@ step(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
   const StepResult Next{StepKind::Sequential, FallThrough};
   uint32_t FaultAddr = 0;
 
-  switch (Inst.Op) {
+  switch (Op) {
   case Opcode::Nop:
     return Next;
   case Opcode::Halt:
@@ -167,7 +207,7 @@ step(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
     if (!Space.store32(NewSp, FallThrough, FaultAddr))
       return {StepKind::Faulted, FaultAddr};
     Cpu.setSp(NewSp);
-    return {StepKind::Control, Inst.Op == Opcode::Call ? Inst.Imm : A};
+    return {StepKind::Control, Op == Opcode::Call ? Inst.Imm : A};
   }
   case Opcode::Ret: {
     uint32_t ReturnAddr = 0;
@@ -187,6 +227,22 @@ step(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
     break;
   }
   return {StepKind::Faulted, Pc};
+}
+
+/// Executes \p Inst at \p Pc: the stepOp() of its opcode, chosen by one
+/// switch expanded from PCC_VM_OPCODES.
+[[gnu::always_inline]] inline StepResult
+step(const isa::Instruction &Inst, uint32_t Pc, CpuState &Cpu,
+     loader::AddressSpace &Space, SyscallEnv &Env) {
+  switch (Inst.Op) {
+#define PCC_VM_STEP_CASE(Name)                                             \
+  case isa::Opcode::Name:                                                  \
+    return stepOp<isa::Opcode::Name>(Inst, Pc, Cpu, Space, Env);
+    PCC_VM_OPCODES(PCC_VM_STEP_CASE)
+#undef PCC_VM_STEP_CASE
+  default:
+    return stepOp<isa::Opcode::NumOpcodes>(Inst, Pc, Cpu, Space, Env);
+  }
 }
 
 } // namespace vm

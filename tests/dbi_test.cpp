@@ -479,9 +479,10 @@ TEST(Engine, GranularEvictionOutperformsFlushUnderPressure) {
             FlushRun->Stats.TracesCompiled);
 }
 
-// Nop skipping in promoted bodies. The executor jumps over the Nop
-// slots of OptGen >= 1 bodies and accounts guest work once per trace
-// exit; the counters must still equal a walk of every slot. The guest
+// Nop skipping in promoted bodies. The executor runs OptGen >= 1
+// bodies over their live-op streams, which leave the Nop slots out,
+// and accounts guest work once per trace exit; the counters must still
+// equal a walk of every slot. The guest
 // programs below contain real Nops, every trace they run is compiled
 // up front and promoted by hand, so each translated body equals its
 // guest code and the native instruction stream is the slot stream.
@@ -541,33 +542,40 @@ struct PromotedRun {
   uint64_t ExpectedExecCycles = 0;
 };
 
+/// Compiles into \p E's cache every trace that a run of \p Insts
+/// executes, and promotes each to generation 1, so that E.run()
+/// executes promoted bodies only.
+void promoteAllTraces(Engine &E, const std::vector<Instruction> &Insts) {
+  std::vector<uint32_t> Starts;
+  {
+    loader::ModuleRegistry Registry;
+    auto Discover = vm::Machine::create(programModule(Insts), Registry);
+    ASSERT_TRUE(Discover.ok());
+    Engine D(*Discover, nullptr);
+    (void)D.run();
+    for (const auto &T : D.cache().traces())
+      Starts.push_back(T->guestStart());
+  }
+  Compiler Precompile(E.machine().space(), E.cache(), E.options().Costs,
+                      E.spec(), E.options().MaxTraceInsts);
+  EngineStats Scratch;
+  for (uint32_t Start : Starts) {
+    auto T = Precompile.compile(Start, Scratch);
+    ASSERT_TRUE(T.ok());
+    (*T)->setOptGen(1);
+  }
+}
+
 /// Runs \p Insts under the engine with every trace the program executes
 /// compiled beforehand and promoted to generation 1.
 PromotedRun runPromoted(const std::vector<Instruction> &Insts,
                         Tool *ClientTool,
                         const SlotCounts &Reference) {
   loader::ModuleRegistry Registry;
-  std::vector<uint32_t> Starts;
-  {
-    auto Discover = vm::Machine::create(programModule(Insts), Registry);
-    EXPECT_TRUE(Discover.ok());
-    Engine E(*Discover, nullptr);
-    (void)E.run();
-    for (const auto &T : E.cache().traces())
-      Starts.push_back(T->guestStart());
-  }
   auto M = vm::Machine::create(programModule(Insts), Registry);
   EXPECT_TRUE(M.ok());
   Engine E(*M, ClientTool);
-  Compiler Precompile(M->space(), E.cache(), E.options().Costs, E.spec(),
-                      E.options().MaxTraceInsts);
-  EngineStats Scratch;
-  for (uint32_t Start : Starts) {
-    auto T = Precompile.compile(Start, Scratch);
-    EXPECT_TRUE(T.ok());
-    if (T.ok())
-      (*T)->setOptGen(1);
-  }
+  promoteAllTraces(E, Insts);
   PromotedRun Out;
   Out.Run = E.run();
   Out.Stats = E.stats();
@@ -689,16 +697,297 @@ TEST(NopSkip, UnpromotedBodiesEarnNoDiscount) {
   EXPECT_EQ(E.stats().ExecCycles, E.options().Costs.translatedExecCycles(4));
 }
 
-TEST(NopSkip, SkipTableMarksNextLiveSlotAndNopPrefix) {
-  TranslatedTrace T(0x1000, 5, 0, 0, {}, /*FromPersistentCache=*/false);
-  T.materialize({makeNop(), makeLdi(1, 1), makeNop(), makeNop(), makeNop()});
-  std::span<const NopSkipEntry> Skip = T.nopSkipTable();
-  ASSERT_EQ(Skip.size(), 6u);
-  const uint32_t NextLive[] = {1, 1, 5, 5, 5, 5};
-  const uint32_t NopsBefore[] = {0, 1, 1, 2, 3, 4};
-  for (uint32_t I = 0; I != 6; ++I) {
-    EXPECT_EQ(Skip[I].NextLive, NextLive[I]) << I;
-    EXPECT_EQ(Skip[I].NopsBefore, NopsBefore[I]) << I;
+TEST(NopSkip, LiveOpStreamListsNonNopSlotsInOrder) {
+  TranslatedTrace T(0x1000, 6, 0, 0, {}, /*FromPersistentCache=*/false);
+  T.materialize({makeNop(), makeLdi(1, 1), makeNop(), makeNop(),
+                 makeAluImm(Opcode::Addi, 1, 1, 2), makeNop()});
+  std::span<const LiveOp> Ops = T.liveOps();
+  ASSERT_EQ(Ops.size(), 2u);
+  EXPECT_EQ(Ops[0].Inst, makeLdi(1, 1));
+  EXPECT_EQ(Ops[0].Slot, 1u);
+  EXPECT_EQ(Ops[1].Inst, makeAluImm(Opcode::Addi, 1, 1, 2));
+  EXPECT_EQ(Ops[1].Slot, 4u);
+
+  TranslatedTrace AllNops(0x2000, 3, 0, 0, {}, false);
+  AllNops.materialize({makeNop(), makeNop(), makeNop()});
+  EXPECT_TRUE(AllNops.liveOps().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Executor equivalence. The tool-less threaded loop (gen-0 bodies in
+// place, promoted bodies as live-op streams), the instrumented loop and
+// the reference interpreter must agree on every opcode and every way of
+// leaving a trace: the run result, the final memory, and, between the
+// two engine loops, every EngineStats counter the tool does not charge.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr uint32_t at(uint32_t Index) {
+  return ProgBase + Index * InstructionSize;
+}
+
+struct ExecCase {
+  const char *Name;
+  std::vector<Instruction> Insts;
+  /// When nonzero, the word every run must leave at this address.
+  uint32_t ProbeAddr = 0;
+  uint32_t ProbeWord = 0;
+};
+
+std::vector<ExecCase> execCases() {
+  const Instruction WriteWord = sysCall(vm::SyscallNumber::WriteWord);
+  const Instruction Exit = sysCall(vm::SyscallNumber::Exit);
+  std::vector<ExecCase> Cases;
+
+  {
+    // Every ALU opcode, folded into r5, with divide-by-zero and shift
+    // amounts of 32 and more among the operands.
+    ExecCase C{"alu", {}};
+    auto &P = C.Insts;
+    P = {makeLdi(2, 0x80000001u), makeLdi(3, 7), makeNop()};
+    auto Mix = [&](Instruction Inst) {
+      P.insert(P.end(), {Inst, makeAlu(Opcode::Xor, 5, 5, 1),
+                         makeAluImm(Opcode::Muli, 5, 5, 31), makeNop()});
+    };
+    for (Opcode Op : {Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Divu,
+                      Opcode::And, Opcode::Or, Opcode::Xor, Opcode::Shl,
+                      Opcode::Shr, Opcode::Sltu, Opcode::Seq})
+      Mix(makeAlu(Op, 1, 2, 3));
+    P.insert(P.end(), {makeAluImm(Opcode::Addi, 1, 5, 0), WriteWord});
+    P.push_back(makeLdi(3, 0));
+    Mix(makeAlu(Opcode::Divu, 1, 2, 3));
+    Mix(makeAlu(Opcode::Seq, 1, 3, 0));
+    for (uint32_t Amount : {32u, 33u, 63u}) {
+      P.push_back(makeLdi(3, Amount));
+      Mix(makeAlu(Opcode::Shl, 1, 2, 3));
+      Mix(makeAlu(Opcode::Shr, 1, 2, 3));
+    }
+    for (Opcode Op : {Opcode::Addi, Opcode::Muli, Opcode::Andi, Opcode::Ori,
+                      Opcode::Xori, Opcode::Sltiu})
+      Mix(makeAluImm(Op, 1, 2, 0xfffffff0u));
+    for (uint32_t Amount : {31u, 35u, 40u}) {
+      Mix(makeAluImm(Opcode::Shli, 1, 2, Amount));
+      Mix(makeAluImm(Opcode::Shri, 1, 2, Amount));
+    }
+    Mix(makeLdi(1, 0xdeadbeefu));
+    P.insert(P.end(), {makeAluImm(Opcode::Addi, 1, 5, 0), WriteWord,
+                       makeLdi(1, 0), Exit});
+    Cases.push_back(std::move(C));
+  }
+
+  // Every conditional branch taken and not taken, a loop, and a Jmp.
+  Cases.push_back(
+      {"branches",
+       {/*0*/ makeLdi(1, 3), makeLdi(2, 0),
+        /*2*/ makeAluImm(Opcode::Addi, 2, 2, 5), makeNop(),
+        /*4*/ makeAluImm(Opcode::Addi, 1, 1, 0xffffffffu),
+        /*5*/ makeBranch(Opcode::Bne, 1, 0, at(2)), makeNop(),
+        /*7*/ makeBranch(Opcode::Beq, 1, 0, at(9)), makeHalt(),
+        /*9*/ makeBranch(Opcode::Bltu, 2, 1, at(8)),
+        /*10*/ makeBranch(Opcode::Bgeu, 2, 1, at(12)), makeHalt(),
+        /*12*/ makeBranch(Opcode::Bltu, 1, 2, at(14)), makeHalt(),
+        /*14*/ makeBranch(Opcode::Bgeu, 1, 2, at(17)),
+        /*15*/ makeBranch(Opcode::Beq, 2, 1, at(17)),
+        /*16*/ makeJmp(at(18)), makeHalt(),
+        /*18*/ makeAluImm(Opcode::Addi, 1, 2, 0), WriteWord, makeLdi(1, 0),
+        Exit}});
+
+  // Call, Callr and Ret through the stack, and a Jr indirect exit, three
+  // times around a loop so the indirect lookups also hit.
+  Cases.push_back(
+      {"calls and indirect exits",
+       {/*0*/ makeLdi(6, 3),
+        /*1*/ makeCall(at(14)), makeLdi(7, at(17)), makeCallr(7),
+        /*4*/ makeLdi(8, at(8)), makeNop(), makeJr(8), makeHalt(),
+        /*8*/ makeAluImm(Opcode::Addi, 6, 6, 0xffffffffu),
+        /*9*/ makeBranch(Opcode::Bne, 6, 0, at(1)),
+        /*10*/ makeAluImm(Opcode::Addi, 1, 5, 0), WriteWord, makeLdi(1, 0),
+        Exit,
+        /*14*/ makeAluImm(Opcode::Addi, 5, 5, 3), makeNop(), makeRet(),
+        /*17*/ makeAluImm(Opcode::Muli, 5, 5, 7), makeRet()}});
+
+  Cases.push_back({"syscalls then halt",
+                   {makeLdi(1, 'h'), sysCall(vm::SyscallNumber::WriteChar),
+                    makeNop(), makeLdi(1, 'i'),
+                    sysCall(vm::SyscallNumber::WriteChar), makeNop(),
+                    sysCall(vm::SyscallNumber::Yield), makeNop(),
+                    makeLdi(1, 77), WriteWord, makeNop(), makeNop(),
+                    makeHalt()}});
+
+  Cases.push_back({"exit code", {makeNop(), makeLdi(1, 3), makeNop(), Exit}});
+
+  {
+    // The trace-length cutoff: an all-Nop first trace, then a 16-slot
+    // loop body that leaves through its fall-through exit.
+    ExecCase C{"trace-length cutoff",
+               std::vector<Instruction>(18, makeNop())};
+    auto &P = C.Insts;
+    P.push_back(makeLdi(4, 2)); // 18
+    for (int I = 0; I != 12; ++I) // 19..30
+      P.push_back(makeAluImm(Opcode::Addi, 1, 1, 1));
+    P.insert(P.end(), {makeNop(), makeNop(), makeNop(), // 31..33
+                       makeAluImm(Opcode::Addi, 4, 4, 0xffffffffu),
+                       makeBranch(Opcode::Bne, 4, 0, at(19)), WriteWord,
+                       makeLdi(1, 0), Exit});
+    Cases.push_back(std::move(C));
+  }
+
+  {
+    // Loads and stores across an inner stack page boundary, where the
+    // next page is mapped.
+    ExecCase C{"page-spanning loads and stores",
+               {makeLdi(2, 0x7ffefffc), makeLdi(5, 0)}};
+    for (uint32_t Off = 1; Off != 4; ++Off)
+      C.Insts.insert(C.Insts.end(),
+                     {makeLdi(3, 0xa1b2c3d0 + Off), makeNop(),
+                      makeStore(2, static_cast<int32_t>(Off), 3),
+                      makeLoad(4, 2, static_cast<int32_t>(Off)),
+                      makeAlu(Opcode::Xor, 5, 5, 4)});
+    C.Insts.insert(C.Insts.end(),
+                   {makeLoad(1, 2, 0), WriteWord,
+                    makeAluImm(Opcode::Addi, 1, 5, 0), WriteWord,
+                    makeLdi(1, 0), Exit});
+    C.ProbeAddr = 0x7ffefffc;
+    C.ProbeWord = 0xd3d2d100; // Offset 0 was never stored.
+    Cases.push_back(std::move(C));
+  }
+
+  Cases.push_back({"load from unmapped memory",
+                   {makeLdi(1, 5), WriteWord, makeLdi(2, 0x90000000),
+                    makeNop(), makeNop(), makeLoad(3, 2, 0), makeNop(),
+                    makeHalt()}});
+
+  Cases.push_back({"load spanning into unmapped memory",
+                   {makeLdi(2, 0x7ffffffe), makeNop(), makeLoad(3, 2, 0),
+                    makeNop(), makeHalt()}});
+
+  // The second store writes its two mapped bytes, then faults at
+  // 0x80000000.
+  Cases.push_back({"store spanning into unmapped memory",
+                   {makeLdi(2, 0x7ffffffc), makeLdi(3, 0xa1b2c3d4),
+                    makeStore(2, 0, 3), makeLdi(3, 0x11223344), makeNop(),
+                    makeNop(), makeStore(2, 2, 3), makeNop(), makeHalt()},
+                   0x7ffffffc, 0x3344c3d4});
+
+  Cases.push_back({"call pushing into unmapped memory",
+                   {makeLdi(StackPointerReg, 0x7ffe0002), makeNop(),
+                    makeCall(at(5)), makeNop(), makeHalt(), makeHalt()}});
+
+  // The pushed return address spans the top of the stack: its two low
+  // bytes land, then the push faults.
+  Cases.push_back({"callr pushing across the stack top",
+                   {makeLdi(StackPointerReg, 0x80000002), makeLdi(7, at(5)),
+                    makeNop(), makeCallr(7), makeHalt(), makeHalt()},
+                   0x7ffffffc, 0x00200000});
+
+  Cases.push_back({"ret from unmapped memory",
+                   {makeLdi(StackPointerReg, 0x90000000), makeNop(),
+                    makeRet()}});
+  return Cases;
+}
+
+/// One run of a case, with what the equivalence check compares.
+struct ExecRun {
+  vm::RunResult Run;
+  EngineStats Stats;
+  uint64_t MemoryHash = 0;
+  uint32_t Probe = 0;
+};
+
+void finishRun(ExecRun &Out, vm::Machine &M, const ExecCase &C) {
+  Out.MemoryHash = M.space().contentHash();
+  if (C.ProbeAddr != 0) {
+    auto Word = M.space().read32(C.ProbeAddr);
+    ASSERT_TRUE(Word.ok());
+    Out.Probe = *Word;
+  }
+}
+
+ExecRun runCaseUnderEngine(const ExecCase &C, Tool *ClientTool,
+                           bool Promote) {
+  loader::ModuleRegistry Registry;
+  auto M = vm::Machine::create(programModule(C.Insts), Registry);
+  EXPECT_TRUE(M.ok());
+  Engine E(*M, ClientTool);
+  if (Promote)
+    promoteAllTraces(E, C.Insts);
+  ExecRun Out;
+  Out.Run = E.run();
+  Out.Stats = E.stats();
+  if (Promote) {
+    EXPECT_EQ(Out.Stats.TracesCompiled, 0u) << "a trace was left unpromoted";
+  }
+  finishRun(Out, *M, C);
+  return Out;
+}
+
+ExecRun runCaseNatively(const ExecCase &C) {
+  loader::ModuleRegistry Registry;
+  auto M = vm::Machine::create(programModule(C.Insts), Registry);
+  EXPECT_TRUE(M.ok());
+  ExecRun Out;
+  Out.Run = M->runNative();
+  finishRun(Out, *M, C);
+  return Out;
+}
+
+void expectSameOutcome(const ExecRun &A, const ExecRun &B,
+                       const std::string &Label) {
+  EXPECT_EQ(A.Run.Error.toString(), B.Run.Error.toString()) << Label;
+  EXPECT_EQ(A.Run.ExitCode, B.Run.ExitCode) << Label;
+  EXPECT_EQ(A.Run.Output, B.Run.Output) << Label;
+  EXPECT_EQ(A.Run.WordLog, B.Run.WordLog) << Label;
+  EXPECT_EQ(A.Run.InstructionsExecuted, B.Run.InstructionsExecuted)
+      << Label;
+  EXPECT_EQ(A.Run.SyscallCount, B.Run.SyscallCount) << Label;
+  EXPECT_EQ(A.MemoryHash, B.MemoryHash) << Label;
+  EXPECT_EQ(A.Probe, B.Probe) << Label;
+}
+
+/// \p S without what an instruction-counting tool adds: its analysis
+/// calls and, for traces it compiles, their instrumentation points
+/// (which also land in the time to first trace).
+EngineStats withoutToolCharges(EngineStats S) {
+  S.ToolCycles = 0;
+  S.CompileCycles = 0;
+  S.FirstTraceReadyCycles = 0;
+  return S;
+}
+
+} // namespace
+
+TEST(ExecutorEquivalence, ThreadedInstrumentedAndInterpretedRunsAgree) {
+  for (const ExecCase &C : execCases()) {
+    SCOPED_TRACE(C.Name);
+    const SlotCounts Reference = referenceWalk(C.Insts);
+    const ExecRun Native = runCaseNatively(C);
+    if (C.ProbeAddr != 0) {
+      EXPECT_EQ(Native.Probe, C.ProbeWord);
+    }
+    for (bool Promote : {false, true}) {
+      const std::string Body = Promote ? "promoted" : "gen-0";
+      const ExecRun Threaded = runCaseUnderEngine(C, nullptr, Promote);
+      InstructionCounterTool Counter;
+      const ExecRun Instrumented = runCaseUnderEngine(C, &Counter, Promote);
+
+      expectSameOutcome(Threaded, Native, Body + " threaded vs interpreter");
+      expectSameOutcome(Instrumented, Native,
+                        Body + " instrumented vs interpreter");
+      EXPECT_EQ(Threaded.Stats.GuestInstsExecuted, Reference.Insts);
+      EXPECT_EQ(Threaded.Stats.OptNopsExecuted,
+                Promote ? Reference.Nops : 0u);
+
+      EXPECT_GT(Instrumented.Stats.ToolCycles, 0u);
+      EXPECT_GE(Instrumented.Stats.CompileCycles,
+                Threaded.Stats.CompileCycles);
+      tests::expectStatsEqual(withoutToolCharges(Threaded.Stats),
+                              withoutToolCharges(Instrumented.Stats),
+                              Body + " threaded vs instrumented");
+      EXPECT_EQ(Instrumented.Run.Cycles - Instrumented.Stats.ToolCycles -
+                    Instrumented.Stats.CompileCycles,
+                Threaded.Run.Cycles - Threaded.Stats.CompileCycles);
+    }
   }
 }
 
