@@ -28,6 +28,7 @@
 #include "support/ThreadPool.h"
 #include "workloads/Codegen.h"
 #include "workloads/Fleet.h"
+#include "workloads/Gui.h"
 #include "workloads/Runner.h"
 
 #include <benchmark/benchmark.h>
@@ -508,6 +509,67 @@ void BM_FinalizeBackground(benchmark::State &State) {
   State.SetLabel("inline publish");
 }
 BENCHMARK(BM_FinalizeBackground)->Arg(0)->UseManualTime();
+
+/// The GUI suite persisted position-independent and execute-in-place
+/// into one shared inter-application database, warmed until every
+/// application primes from its own slot: the write-back path of a warm
+/// GUI startup.
+struct FinalizeXipFixture {
+  workloads::GuiSuite Gui = workloads::buildGuiSuite();
+  bench::ScratchDir Dir{"pcc-bench-finalize-xip"};
+  persist::CacheDatabase Db{Dir.path()};
+  persist::PersistOptions Opts;
+
+  FinalizeXipFixture() {
+    Opts.InterApplication = true;
+    Opts.PositionIndependent = true;
+    Opts.ExecuteInPlace = true;
+    for (int Round = 0; Round != 2; ++Round)
+      for (const workloads::GuiApp &A : Gui.Apps)
+        bench::mustOk(workloads::runPersistent(Gui.Registry, A.App,
+                                               A.StartupInput, Db, Opts),
+                      "warming the finalize-xip database");
+  }
+};
+
+FinalizeXipFixture &finalizeXipFixture() {
+  static FinalizeXipFixture F;
+  return F;
+}
+
+/// finalize() latency of a warm GUI startup (the gui-startup-xip path):
+/// snapshot of a mostly borrowed XIP pool, carry-through, link closure,
+/// heat-ordered layout, serialize and publish. Applications take turns.
+void BM_FinalizeXip(benchmark::State &State) {
+  FinalizeXipFixture &F = finalizeXipFixture();
+  size_t Next = 0;
+  uint64_t Installed = 0;
+  for (auto _ : State) {
+    const workloads::GuiApp &A = F.Gui.Apps[Next++ % F.Gui.Apps.size()];
+    vm::Machine M = bench::mustOk(
+        workloads::makeMachine(F.Gui.Registry, A.App, A.StartupInput),
+        "machine for the finalize-xip bench");
+    dbi::Engine Engine(M, nullptr);
+    persist::PersistentSession Session(F.Db, F.Opts);
+    persist::PrimeResult Primed = bench::mustOk(
+        Session.prime(Engine), "prime for the finalize-xip bench");
+    if (!Primed.XipInstalled)
+      std::abort();
+    benchmark::DoNotOptimize(Engine.run());
+    auto Start = std::chrono::steady_clock::now();
+    Status Finalized = Session.finalize(Engine);
+    auto End = std::chrono::steady_clock::now();
+    if (!Finalized.ok())
+      std::abort();
+    Installed += Primed.TracesInstalled;
+    State.SetIterationTime(
+        std::chrono::duration<double>(End - Start).count());
+  }
+  State.SetLabel(formatString(
+      "%.0f traces primed per execution",
+      State.iterations() ? double(Installed) / State.iterations() : 0.0));
+}
+BENCHMARK(BM_FinalizeXip)->UseManualTime();
 
 /// Host-side cost of one cache open through the tiered store. Arg 0 is
 /// an L1 hit, Arg 1 forces a read-through fetch from L2 on every open

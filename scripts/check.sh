@@ -7,10 +7,15 @@
 #                                    build tree; vets the concurrent
 #                                    store publish/lock paths)
 #   scripts/check.sh --faults        fault-tolerance soak: runs the
-#                                    fault_injection_test and
-#                                    parallel_pipeline_test binaries
+#                                    fault_injection_test,
+#                                    parallel_pipeline_test and
+#                                    writeback_test binaries
 #                                    repeatedly under ASan and then
-#                                    TSan (separate build trees)
+#                                    TSan (separate build trees);
+#                                    writeback_test holds finalize to
+#                                    golden bytes and the stores'
+#                                    publish-by-reference contract
+#                                    under merges and breaker retries
 #   scripts/check.sh --tidy          clang-tidy over src/ with the
 #                                    repo .clang-tidy (bugprone-*,
 #                                    concurrency-*, performance-*);
@@ -118,12 +123,13 @@ if [ "${1:-}" = "--faults" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target fault_injection_test \
-      --target parallel_pipeline_test
+      --target parallel_pipeline_test --target writeback_test
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== fault soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/fault_injection_test"
       "$SOAK/tests/parallel_pipeline_test"
+      "$SOAK/tests/writeback_test"
       I=$((I + 1))
     done
   done

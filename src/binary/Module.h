@@ -142,6 +142,13 @@ public:
   void addTextRelocation(uint32_t InstIndex) {
     TextRelocs.push_back(InstIndex);
   }
+  /// Indices in the order they were added. The assembler adds them in
+  /// instruction order, so its lists are sorted; the workload generator
+  /// adds data-address fixups before code-address relocations, so its
+  /// lists are two sorted runs. Finalize's PIC relocation masks
+  /// binary-search a sorted list in place and sort a copy of any other.
+  /// The order is part of the module hash (and so of every cache key),
+  /// so it is never rearranged in place.
   const std::vector<uint32_t> &textRelocations() const {
     return TextRelocs;
   }

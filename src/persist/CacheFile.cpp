@@ -171,16 +171,12 @@ std::vector<uint8_t> CacheFile::serialize() const {
       static_cast<uint32_t>(Traces.size() * EntryBytes);
   uint32_t CodeOffset = 0;
   for (const TraceRecord &Trace : Traces) {
-    Writer.writeU32(Trace.GuestStart);
-    Writer.writeU32(Trace.ModuleIndex);
-    Writer.writeU32(Trace.GuestInstCount);
-    Writer.writeU32(CodeOffset);
-    Writer.writeU32(static_cast<uint32_t>(Trace.Code.size()));
-    Writer.writeU32(crc32(Trace.Code.data(), Trace.Code.size()));
-    Writer.writeU32(MetaOffset);
-    Writer.writeU32(static_cast<uint32_t>(Trace.Exits.size()));
-    Writer.writeU32(static_cast<uint32_t>(Trace.RelocMask.size()));
-    Writer.writeU32(Trace.Heat); // Former Reserved word.
+    Writer.writeU32s(Trace.GuestStart, Trace.ModuleIndex,
+                     Trace.GuestInstCount, CodeOffset, Trace.Code.size(),
+                     crc32(Trace.Code.data(), Trace.Code.size()),
+                     MetaOffset, Trace.Exits.size(),
+                     Trace.RelocMask.size(),
+                     Trace.Heat); // Last: the former Reserved word.
     if (HasOptGen)
       Writer.writeU32(Trace.OptGen);
     CodeOffset += static_cast<uint32_t>(Trace.Code.size());
@@ -190,17 +186,12 @@ std::vector<uint8_t> CacheFile::serialize() const {
   for (const TraceRecord &Trace : Traces) {
     for (const ExitRecord &Exit : Trace.Exits) {
       Writer.writeU8(Exit.Kind);
-      Writer.writeU32(Exit.InstIndex);
-      Writer.writeU32(Exit.Target);
-      Writer.writeU32(Exit.LinkedStart);
+      Writer.writeU32s(Exit.InstIndex, Exit.Target, Exit.LinkedStart);
     }
     Writer.writeBytes(Trace.RelocMask.data(), Trace.RelocMask.size());
   }
   assert(Writer.size() == IndexEnd && "trace index size drifted");
-  if (PayloadOffset != IndexEnd) {
-    std::vector<uint8_t> Pad(PayloadOffset - IndexEnd, 0);
-    Writer.writeBytes(Pad.data(), Pad.size());
-  }
+  Writer.writeZeros(PayloadOffset - IndexEnd);
   assert(Writer.size() == PayloadOffset && "payload alignment drifted");
 
   for (const TraceRecord &Trace : Traces)

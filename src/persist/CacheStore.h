@@ -209,8 +209,14 @@ public:
   /// advanced the slot first, the caller's file is merged with the
   /// winner's (the winner's still-novel traces are re-accumulated into
   /// the caller's) and the merge is stored at the next generation.
+  ///
+  /// \p File is read, never modified or copied: a store serializes it
+  /// straight from the caller's object. The merge path is the only one
+  /// that builds a second CacheFile (mergeCacheFiles), and the caller's
+  /// file is unchanged after it, so a failed publish can be retried
+  /// with the same object and writes the same bytes.
   virtual ErrorOr<PublishResult> publish(uint64_t LookupKey,
-                                         CacheFile File,
+                                         const CacheFile &File,
                                          uint32_t BaseGeneration) = 0;
 
   /// Removes the cache slot for \p LookupKey if present.

@@ -156,7 +156,7 @@ ErrorOr<FileLock> DirectoryStore::lockWithRetry(const std::string &Path,
 }
 
 ErrorOr<PublishResult> DirectoryStore::publish(uint64_t LookupKey,
-                                               CacheFile File,
+                                               const CacheFile &File,
                                                uint32_t BaseGeneration) {
   PublishResult Result;
   // Shared on the store lock: publishers of different keys proceed in
@@ -177,19 +177,23 @@ ErrorOr<PublishResult> DirectoryStore::publish(uint64_t LookupKey,
 
   std::string Ref = refFor(LookupKey);
   uint32_t Current = slotGeneration(Ref);
+  // The caller's file is written as given unless a merge replaces it.
+  const CacheFile *Out = &File;
+  CacheFile Merged;
   if (Current != 0 && Current != BaseGeneration) {
     // A concurrent finalizer advanced the slot since the caller primed.
     // Re-read the winner and re-accumulate its novel traces, so both
     // runs' translations survive. An unreadable winner is overwritten.
     auto Winner = loadRef(Ref);
     if (Winner) {
-      File = mergeCacheFiles(*Winner, std::move(File));
-      File.Generation = Current + 1;
+      Merged = mergeCacheFiles(*Winner, File);
+      Merged.Generation = Current + 1;
+      Out = &Merged;
       Result.Merged = true;
     }
   }
-  Result.Generation = File.Generation;
-  Status S = writeFileAtomic(Ref, File.serialize(), /*SyncToDisk=*/true);
+  Result.Generation = Out->Generation;
+  Status S = writeFileAtomic(Ref, Out->serialize(), /*SyncToDisk=*/true);
   if (!S.ok())
     return S;
   return Result;

@@ -16,6 +16,8 @@
 ///     per-key lock *exclusive* — concurrent publishers of different
 ///     keys proceed in parallel; two finalizers of one key serialize,
 ///     and the loser merges the winner's novel traces before writing.
+///     It serializes the caller's CacheFile in place; only the merge
+///     builds a new file, and the caller's object is never modified.
 ///   * shrinkTo() and clear() hold the store-wide lock *exclusive*,
 ///     quiescing all publishers, and sweep any temporaries a crashed
 ///     writer orphaned.
@@ -70,7 +72,7 @@ public:
   ErrorOr<CacheFile> loadRef(const std::string &Ref) override;
   Status put(uint64_t LookupKey, const CacheFile &File) override;
   Status putRef(const std::string &Ref, const CacheFile &File) override;
-  ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
+  ErrorOr<PublishResult> publish(uint64_t LookupKey, const CacheFile &File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;
   Status clear() override;

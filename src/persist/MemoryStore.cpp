@@ -109,7 +109,7 @@ void MemoryStore::putImage(const std::string &Ref,
 }
 
 ErrorOr<PublishResult> MemoryStore::publish(uint64_t LookupKey,
-                                            CacheFile File,
+                                            const CacheFile &File,
                                             uint32_t BaseGeneration) {
   // One mutex plays both of the directory store's lock roles: the
   // generation read, merge and slot swap are a single critical section.
@@ -118,16 +118,19 @@ ErrorOr<PublishResult> MemoryStore::publish(uint64_t LookupKey,
   PublishResult Result;
   auto It = Slots.find(Ref);
   uint32_t Current = It == Slots.end() ? 0 : imageGeneration(It->second);
+  const CacheFile *Out = &File;
+  CacheFile Merged;
   if (Current != 0 && Current != BaseGeneration) {
     auto Winner = CacheFile::deserialize(It->second);
     if (Winner) {
-      File = mergeCacheFiles(*Winner, std::move(File));
-      File.Generation = Current + 1;
+      Merged = mergeCacheFiles(*Winner, File);
+      Merged.Generation = Current + 1;
+      Out = &Merged;
       Result.Merged = true;
     }
   }
-  Result.Generation = File.Generation;
-  Slots[Ref] = File.serialize();
+  Result.Generation = Out->Generation;
+  Slots[Ref] = Out->serialize();
   return Result;
 }
 

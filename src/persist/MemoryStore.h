@@ -12,7 +12,9 @@
 /// generation-conflict merging — can be exercised without touching the
 /// host filesystem. Storing the *serialized* bytes (not CacheFile
 /// objects) keeps the backend honest: every open round-trips through
-/// the same format and CRC checks as the directory store.
+/// the same format and CRC checks as the directory store. publish()
+/// serializes the caller's CacheFile by reference, like the directory
+/// store; only a generation-conflict merge builds a new file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +47,7 @@ public:
   ErrorOr<CacheFile> loadRef(const std::string &Ref) override;
   Status put(uint64_t LookupKey, const CacheFile &File) override;
   Status putRef(const std::string &Ref, const CacheFile &File) override;
-  ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
+  ErrorOr<PublishResult> publish(uint64_t LookupKey, const CacheFile &File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;
   Status clear() override;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -818,6 +819,98 @@ void promoteCacheFile(CacheFile &File, const loader::AddressSpace &Space,
   }
 }
 
+/// Text-relocated instruction indices of every loaded module, sorted,
+/// for the PIC relocation masks. A list already in instruction order
+/// (the assembler's) is used in place; an unsorted one is copied into
+/// \p Copies, one buffer shared by all modules, and sorted there.
+std::vector<std::span<const uint32_t>>
+sortedTextRelocations(const loader::LoadedImage &Image,
+                      std::vector<uint32_t> &Copies) {
+  size_t Unsorted = 0;
+  for (const LoadedModule &Mod : Image.Modules) {
+    const std::vector<uint32_t> &List = Mod.Image->textRelocations();
+    if (!std::is_sorted(List.begin(), List.end()))
+      Unsorted += List.size();
+  }
+  Copies.reserve(Unsorted); // The spans point into it: it never grows.
+  std::vector<std::span<const uint32_t>> Lists;
+  Lists.reserve(Image.Modules.size());
+  for (const LoadedModule &Mod : Image.Modules) {
+    const std::vector<uint32_t> &List = Mod.Image->textRelocations();
+    if (std::is_sorted(List.begin(), List.end())) {
+      Lists.emplace_back(List);
+      continue;
+    }
+    const size_t At = Copies.size();
+    Copies.insert(Copies.end(), List.begin(), List.end());
+    std::sort(Copies.begin() + At, Copies.end());
+    Lists.emplace_back(Copies.data() + At, List.size());
+  }
+  return Lists;
+}
+
+/// A view's trace indices grouped by module, each group in index order:
+/// module M's traces are Order[Offsets[M], Offsets[M + 1]). An entry
+/// whose module index is out of range is in no group.
+struct ModuleBuckets {
+  std::vector<uint32_t> Offsets;
+  std::vector<uint32_t> Order;
+
+  std::span<const uint32_t> of(size_t M) const {
+    return {Order.data() + Offsets[M], Offsets[M + 1] - Offsets[M]};
+  }
+};
+
+ModuleBuckets bucketByModule(const CacheFileView &View) {
+  const size_t NumModules = View.numModules();
+  ModuleBuckets B;
+  B.Offsets.assign(NumModules + 1, 0);
+  for (uint32_t J = 0; J != View.numTraces(); ++J)
+    if (View.entry(J).ModuleIndex < NumModules)
+      ++B.Offsets[View.entry(J).ModuleIndex + 1];
+  for (size_t M = 0; M != NumModules; ++M)
+    B.Offsets[M + 1] += B.Offsets[M];
+  B.Order.resize(B.Offsets[NumModules]);
+  // Offsets[M] walks group M as it fills, ending at group M + 1's
+  // start; shifting by one restores the group starts.
+  for (uint32_t J = 0; J != View.numTraces(); ++J)
+    if (View.entry(J).ModuleIndex < NumModules)
+      B.Order[B.Offsets[View.entry(J).ModuleIndex]++] = J;
+  for (size_t M = NumModules; M != 0; --M)
+    B.Offsets[M] = B.Offsets[M - 1];
+  B.Offsets[0] = 0;
+  return B;
+}
+
+/// Reorders \p Traces hottest first, ties by guest start and then by
+/// current position (the order a stable sort gives). Sorts small keys
+/// and moves each record once, walking the permutation's cycles.
+void sortByHeat(std::vector<TraceRecord> &Traces) {
+  std::vector<std::pair<uint64_t, uint32_t>> Order;
+  Order.reserve(Traces.size());
+  for (uint32_t I = 0; I != Traces.size(); ++I)
+    Order.emplace_back(static_cast<uint64_t>(~Traces[I].Heat) << 32 |
+                           Traces[I].GuestStart,
+                       I);
+  std::sort(Order.begin(), Order.end());
+  // Position I takes the record now at Order[I].second; a placed
+  // position is marked by pointing at itself.
+  for (uint32_t I = 0; I != Order.size(); ++I) {
+    if (Order[I].second == I)
+      continue;
+    TraceRecord Held = std::move(Traces[I]);
+    uint32_t J = I;
+    while (Order[J].second != I) {
+      const uint32_t From = Order[J].second;
+      Traces[J] = std::move(Traces[From]);
+      Order[J].second = J;
+      J = From;
+    }
+    Traces[J] = std::move(Held);
+    Order[J].second = J;
+  }
+}
+
 } // namespace
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
@@ -854,15 +947,12 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // this, but the resident copy loop is the hot part).
   File.Traces.reserve(Cache.traces().size());
 
-  // Per-module set of text-relocated instruction indices, for the PIC
-  // relocation masks.
-  std::vector<std::unordered_set<uint32_t>> RelocSets;
-  if (Opts.PositionIndependent) {
-    RelocSets.resize(Image.Modules.size());
-    for (size_t I = 0; I != Image.Modules.size(); ++I)
-      for (uint32_t Index : Image.Modules[I].Image->textRelocations())
-        RelocSets[I].insert(Index);
-  }
+  // Per-module sorted text-relocation lists, for the PIC relocation
+  // masks.
+  std::vector<uint32_t> RelocCopies;
+  std::vector<std::span<const uint32_t>> TextRelocs;
+  if (Opts.PositionIndependent)
+    TextRelocs = sortedTextRelocations(Image, RelocCopies);
 
   auto moduleIndexFor = [&](uint32_t Addr) -> int {
     for (size_t I = 0; I != Image.Modules.size(); ++I)
@@ -927,25 +1017,26 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // promoted trace's certificate from the primed file when the body
   // bytes still match exactly (CRC-bound), so an executed-but-
   // unmodified promotion keeps its proof across generations without
-  // re-proving.
-  std::unordered_map<uint32_t, std::pair<const uint8_t *, size_t>>
-      PriorCerts;
+  // re-proving. PriorCerts holds (guest start, view index) for every
+  // certified view trace, sorted, so a lookup finds the lowest index
+  // for a start.
+  std::vector<std::pair<uint32_t, uint32_t>> PriorCerts;
   if (LoadedView && LoadedView->certsPresent()) {
-    for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
-      auto [CertData, CertSize] = LoadedView->certBlobOf(J);
-      if (CertData)
-        PriorCerts.emplace(LoadedView->entry(J).GuestStart,
-                           std::make_pair(CertData, CertSize));
-    }
+    PriorCerts.reserve(LoadedView->numTraces());
+    for (uint32_t J = 0; J != LoadedView->numTraces(); ++J)
+      if (LoadedView->certBlobOf(J).first)
+        PriorCerts.emplace_back(LoadedView->entry(J).GuestStart, J);
+    std::sort(PriorCerts.begin(), PriorCerts.end());
   }
   auto reattachCert = [&](TraceRecord &Rec) {
     if (Rec.OptGen == 0 || !Rec.Cert.empty() || PriorCerts.empty())
       return;
-    auto It = PriorCerts.find(Rec.GuestStart);
-    if (It == PriorCerts.end())
+    auto It = std::lower_bound(PriorCerts.begin(), PriorCerts.end(),
+                               std::make_pair(Rec.GuestStart, 0u));
+    if (It == PriorCerts.end() || It->first != Rec.GuestStart)
       return;
-    auto Peek =
-        analysis::peekCertificate(It->second.first, It->second.second);
+    auto [CertData, CertSize] = LoadedView->certBlobOf(It->second);
+    auto Peek = analysis::peekCertificate(CertData, CertSize);
     if (!Peek || Peek->GuestStart != Rec.GuestStart ||
         Peek->InstCount != Rec.GuestInstCount)
       return;
@@ -955,8 +1046,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         crc32(Rec.Code.data() + dbi::TracePrologueBytes, InstBytes) !=
             Peek->BodyCrc)
       return; // Body changed (rebase, recompile): certificate is stale.
-    Rec.Cert.assign(It->second.first,
-                    It->second.first + It->second.second);
+    Rec.Cert.assign(CertData, CertData + CertSize);
   };
 
   for (const auto &T : Cache.traces()) {
@@ -975,6 +1065,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     Rec.OptGen = T->optGen();
     const uint8_t *Code = Cache.codeAt(T->poolOffset());
     Rec.Code.assign(Code, Code + T->poolBytes());
+    Rec.Exits.reserve(T->exits().size());
     for (const dbi::TraceExit &Exit : T->exits())
       Rec.Exits.push_back(ExitRecord{
           static_cast<uint8_t>(Exit.Kind), Exit.InstIndex, Exit.Target,
@@ -1003,24 +1094,37 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     if (Opts.PositionIndependent) {
       // Mark every address-bearing immediate: branch/call targets plus
       // the module's own text relocations (address materialization).
-      auto Body =
-          T->isMaterialized()
-              ? ErrorOr<std::vector<isa::Instruction>>(
-                    std::vector<isa::Instruction>(T->body().begin(),
-                                                  T->body().end()))
-              : isa::decodeAll(Code + dbi::TracePrologueBytes,
-                               T->guestInstCount());
-      if (!Body)
-        return Body.status();
+      // The body is read in place and the sorted relocation list is
+      // walked alongside it; the mask is allocated once, at its final
+      // capacity, when the first bit is set.
+      std::vector<isa::Instruction> Decoded;
+      std::span<const isa::Instruction> Body;
+      if (T->isMaterialized()) {
+        Body = T->body();
+      } else {
+        auto D = isa::decodeAll(Code + dbi::TracePrologueBytes,
+                                T->guestInstCount());
+        if (!D)
+          return D.status();
+        Decoded = D.take();
+        Body = Decoded;
+      }
       const LoadedModule &Mod = Image.Modules[ModIndex];
-      uint32_t FirstIndex =
+      const uint32_t FirstIndex =
           (T->guestStart() - Mod.Base) / isa::InstructionSize;
-      for (uint32_t I = 0; I != Body->size(); ++I) {
+      std::span<const uint32_t> Relocs = TextRelocs[ModIndex];
+      auto Reloc = std::lower_bound(Relocs.begin(), Relocs.end(), FirstIndex);
+      for (uint32_t I = 0; I != Body.size(); ++I) {
+        while (Reloc != Relocs.end() && *Reloc < FirstIndex + I)
+          ++Reloc;
         bool NeedsReloc =
-            isa::hasCodeTarget((*Body)[I].Op) ||
-            RelocSets[ModIndex].count(FirstIndex + I);
-        if (NeedsReloc)
-          Rec.setRelocBit(I);
+            isa::hasCodeTarget(Body[I].Op) ||
+            (Reloc != Relocs.end() && *Reloc == FirstIndex + I);
+        if (!NeedsReloc)
+          continue;
+        if (Rec.RelocMask.empty())
+          Rec.RelocMask.reserve((Body.size() + 7) / 8);
+        Rec.setRelocBit(I);
       }
     }
     reattachCert(Rec);
@@ -1029,52 +1133,63 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     File.Traces.push_back(std::move(Rec));
   }
 
-  // Accumulation carry-through, part 1: traces of *validated* modules
-  // that are no longer resident in the engine cache — dropped by a
-  // mid-run flush or skipped at install when a pool filled. The paper
-  // writes the persistent cache "whenever the intra-execution code
-  // cache becomes full" for exactly this reason; merging here keeps
-  // accumulation monotone under cache pressure. Only applies to this
-  // application's own cache, and only when the module's base is
-  // unchanged (always true for validated non-PIC modules; PIC reuse at
-  // a new base would require rebasing the stale records, so those are
-  // left to retranslation instead).
-  if (Opts.Accumulate && LoadedWasOwn && LoadedView) {
-    std::unordered_set<uint32_t> Written;
-    for (const TraceRecord &Rec : File.Traces)
-      Written.insert(Rec.GuestStart);
-    std::unordered_map<std::string, uint32_t> IndexByPath;
-    for (size_t I = 0; I != File.Modules.size(); ++I)
-      IndexByPath.emplace(File.Modules[I].Path,
-                          static_cast<uint32_t>(I));
+  // Guest starts written so far, kept sorted: carry-through skips the
+  // ones already written, and link closure clears links to starts that
+  // never made it into the file. Reserved once for the resident
+  // snapshot plus everything carry-through could add.
+  const bool CarryThrough = Opts.Accumulate && LoadedWasOwn && LoadedView;
+  std::vector<uint32_t> Starts;
+  Starts.reserve(File.Traces.size() +
+                 (CarryThrough ? LoadedView->numTraces() : 0));
+  for (const TraceRecord &Rec : File.Traces)
+    Starts.push_back(Rec.GuestStart);
+  std::sort(Starts.begin(), Starts.end());
+
+  if (CarryThrough) {
+    const ModuleBuckets Buckets = bucketByModule(*LoadedView);
+    const size_t NumCurrent = File.Modules.size();
+
+    // Accumulation carry-through, part 1: traces of *validated* modules
+    // that are no longer resident in the engine cache — dropped by a
+    // mid-run flush or skipped at install when a pool filled. The paper
+    // writes the persistent cache "whenever the intra-execution code
+    // cache becomes full" for exactly this reason; merging here keeps
+    // accumulation monotone under cache pressure. Only applies to this
+    // application's own cache, and only when the module's base is
+    // unchanged (always true for validated non-PIC modules; PIC reuse
+    // at a new base would require rebasing the stale records, so those
+    // are left to retranslation instead). Each carried start is
+    // inserted in order; this path runs only after a flush or a full
+    // pool.
     for (size_t I = 0; I != LoadedView->numModules(); ++I) {
       if (!ModuleLoadedNow[I] || !ModuleValidated[I])
         continue;
       const ModuleKey &Old = LoadedView->modules()[I];
-      auto It = IndexByPath.find(Old.Path);
-      if (It == IndexByPath.end() ||
-          File.Modules[It->second].Base != Old.Base)
+      size_t Now = 0;
+      while (Now != NumCurrent && File.Modules[Now].Path != Old.Path)
+        ++Now;
+      if (Now == NumCurrent || File.Modules[Now].Base != Old.Base)
         continue;
-      for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
-        const TraceIndexEntry &E = LoadedView->entry(J);
-        if (E.ModuleIndex != I || Written.count(E.GuestStart))
+      for (uint32_t J : Buckets.of(I)) {
+        const uint32_t Start = LoadedView->entry(J).GuestStart;
+        auto At = std::lower_bound(Starts.begin(), Starts.end(), Start);
+        if (At != Starts.end() && *At == Start)
           continue;
         auto Copy = LoadedView->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
-        Copy->ModuleIndex = It->second;
-        Written.insert(Copy->GuestStart);
+        Copy->ModuleIndex = static_cast<uint32_t>(Now);
+        Starts.insert(At, Start);
         File.Traces.push_back(Copy.take());
       }
     }
-  }
 
-  // Accumulation carry-through, part 2: keep still-valid traces of
-  // modules that simply were not loaded by this run, so the cache's
-  // coverage only grows over time (Section 4.4). Only applies to this
-  // application's own cache; donor caches are never modified or
-  // absorbed wholesale.
-  if (Opts.Accumulate && LoadedWasOwn && LoadedView) {
+    // Accumulation carry-through, part 2: keep still-valid traces of
+    // modules that simply were not loaded by this run, so the cache's
+    // coverage only grows over time (Section 4.4). Only applies to this
+    // application's own cache; donor caches are never modified or
+    // absorbed wholesale.
+    const size_t SortedPrefix = Starts.size();
     for (size_t I = 0; I != LoadedView->numModules(); ++I) {
       if (ModuleLoadedNow[I])
         continue;
@@ -1087,39 +1202,34 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         continue;
       uint32_t NewIndex = static_cast<uint32_t>(File.Modules.size());
       File.Modules.push_back(Old);
-      for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
-        if (LoadedView->entry(J).ModuleIndex != I)
-          continue;
+      for (uint32_t J : Buckets.of(I)) {
         auto Copy = LoadedView->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
         Copy->ModuleIndex = NewIndex;
+        Starts.push_back(Copy->GuestStart);
         File.Traces.push_back(Copy.take());
       }
     }
+    if (Starts.size() != SortedPrefix)
+      std::sort(Starts.begin(), Starts.end());
   }
 
   // Clear links whose targets did not make it into this file (e.g. a
   // link into a trace the engine recompiled differently): readers treat
   // LinkedStart == 0 as "unlinked", and validate() requires closure.
-  std::unordered_set<uint32_t> AllStarts;
-  for (const TraceRecord &Rec : File.Traces)
-    AllStarts.insert(Rec.GuestStart);
   for (TraceRecord &Rec : File.Traces)
     for (ExitRecord &Exit : Rec.Exits)
-      if (Exit.LinkedStart != 0 && !AllStarts.count(Exit.LinkedStart))
+      if (Exit.LinkedStart != 0 &&
+          !std::binary_search(Starts.begin(), Starts.end(),
+                              Exit.LinkedStart))
         Exit.LinkedStart = 0;
 
   // Heat-ordered layout: hottest traces first in the trace index and
   // payload, so a later run's demand paging touches the fewest payload
   // pages before its hot code is resident. Correctness is order-
   // independent — records address each other by guest start.
-  std::stable_sort(File.Traces.begin(), File.Traces.end(),
-                   [](const TraceRecord &A, const TraceRecord &B) {
-                     if (A.Heat != B.Heat)
-                       return A.Heat > B.Heat;
-                     return A.GuestStart < B.GuestStart;
-                   });
+  sortByHeat(File.Traces);
 
   CacheStore &Store = *Db.backend();
   dbi::EngineStats &Stats = Engine.stats();

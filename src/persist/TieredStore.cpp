@@ -293,7 +293,7 @@ Status TieredStore::putRef(const std::string &Ref,
 }
 
 ErrorOr<PublishResult> TieredStore::publish(uint64_t LookupKey,
-                                            CacheFile File,
+                                            const CacheFile &File,
                                             uint32_t BaseGeneration) {
   const std::string Name = nameOf(L1->refFor(LookupKey));
   if (remoteUsable()) {
@@ -331,7 +331,7 @@ ErrorOr<PublishResult> TieredStore::publish(uint64_t LookupKey,
     // Fall through: degrade to a local-only publish so the session's
     // translations survive on this machine.
   }
-  auto R = L1->publish(LookupKey, std::move(File), BaseGeneration);
+  auto R = L1->publish(LookupKey, File, BaseGeneration);
   if (R) {
     std::lock_guard<std::mutex> Guard(FillMutex);
     touchUseLocked(Name);

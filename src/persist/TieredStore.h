@@ -23,7 +23,10 @@
 ///     global merge truth — concurrent finalizers across machines
 ///     resolve there by the generation protocol) and the result is
 ///     filled back into L1 under a generation compare, so a stale racer
-///     never overwrites a newer local copy.
+///     never overwrites a newer local copy. publish() hands the caller's
+///     CacheFile by reference to L2, to the L1 fill and to the L1-only
+///     fallback; nothing is copied unless L2 merged, in which case the
+///     fill loads the merged file back from L2.
 ///   * findCompatible unions the tiers: local matches first (no fetch
 ///     needed to try them), then remote-only candidates, which read
 ///     through on open — version-skewed machines pick up compatible
@@ -127,7 +130,7 @@ public:
   ErrorOr<CacheFile> loadRef(const std::string &Ref) override;
   Status put(uint64_t LookupKey, const CacheFile &File) override;
   Status putRef(const std::string &Ref, const CacheFile &File) override;
-  ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
+  ErrorOr<PublishResult> publish(uint64_t LookupKey, const CacheFile &File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;
   Status clear() override;

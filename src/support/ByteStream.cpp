@@ -6,25 +6,10 @@
 
 using namespace pcc;
 
-void ByteWriter::writeLittleEndian(uint64_t Value, unsigned NumBytes) {
-  for (unsigned I = 0; I != NumBytes; ++I)
-    Bytes.push_back(static_cast<uint8_t>(Value >> (8 * I)));
-}
-
 void ByteWriter::writeString(const std::string &Str) {
   assert(Str.size() <= UINT32_MAX && "string too long to serialize");
   writeU32(static_cast<uint32_t>(Str.size()));
   writeBytes(Str.data(), Str.size());
-}
-
-void ByteWriter::writeBytes(const void *Data, size_t Size) {
-  if (Size == 0)
-    return;
-  // Single grow + memcpy append: vector<uint8_t> resize value-initializes
-  // cheaply and memcpy beats element-wise insert on large code payloads.
-  size_t Old = Bytes.size();
-  Bytes.resize(Old + Size);
-  std::memcpy(Bytes.data() + Old, Data, Size);
 }
 
 void ByteWriter::writeBlob(const std::vector<uint8_t> &Blob) {

@@ -24,21 +24,41 @@
 namespace pcc {
 
 /// Appends little-endian encoded values to a growable byte buffer.
+/// Every write is inline and appends with one copy, so a serializer
+/// that reserve()s its exact size writes straight into the buffer:
+/// no per-byte calls and no zero-fill ahead of the copy.
 class ByteWriter {
 public:
   void writeU8(uint8_t Value) { Bytes.push_back(Value); }
-  void writeU16(uint16_t Value) { writeLittleEndian(Value, 2); }
-  void writeU32(uint32_t Value) { writeLittleEndian(Value, 4); }
-  void writeU64(uint64_t Value) { writeLittleEndian(Value, 8); }
+  void writeU16(uint16_t Value) { writeLittleEndian<2>(Value); }
+  void writeU32(uint32_t Value) { writeLittleEndian<4>(Value); }
+  void writeU64(uint64_t Value) { writeLittleEndian<8>(Value); }
   void writeI64(int64_t Value) {
     writeU64(static_cast<uint64_t>(Value));
+  }
+
+  /// Writes each argument as a u32, all with one append (a fixed-width
+  /// record such as a cache-file index entry).
+  template <typename... Words> void writeU32s(Words... Values) {
+    uint8_t Encoded[4 * sizeof...(Words)];
+    uint8_t *Out = Encoded;
+    for (uint32_t Value : {static_cast<uint32_t>(Values)...})
+      for (unsigned I = 0; I != 4; ++I)
+        *Out++ = static_cast<uint8_t>(Value >> (8 * I));
+    Bytes.insert(Bytes.end(), Encoded, Out);
   }
 
   /// Writes a u32 length prefix followed by the raw string bytes.
   void writeString(const std::string &Str);
 
   /// Writes raw bytes with no length prefix.
-  void writeBytes(const void *Data, size_t Size);
+  void writeBytes(const void *Data, size_t Size) {
+    const uint8_t *First = static_cast<const uint8_t *>(Data);
+    Bytes.insert(Bytes.end(), First, First + Size);
+  }
+
+  /// Writes \p Count zero bytes (alignment padding).
+  void writeZeros(size_t Count) { Bytes.resize(Bytes.size() + Count); }
 
   /// Writes a u32 length prefix followed by the raw bytes.
   void writeBlob(const std::vector<uint8_t> &Blob);
@@ -56,7 +76,12 @@ public:
   std::vector<uint8_t> take() { return std::move(Bytes); }
 
 private:
-  void writeLittleEndian(uint64_t Value, unsigned NumBytes);
+  template <unsigned NumBytes> void writeLittleEndian(uint64_t Value) {
+    uint8_t Encoded[NumBytes];
+    for (unsigned I = 0; I != NumBytes; ++I)
+      Encoded[I] = static_cast<uint8_t>(Value >> (8 * I));
+    Bytes.insert(Bytes.end(), Encoded, Encoded + NumBytes);
+  }
 
   std::vector<uint8_t> Bytes;
 };
