@@ -29,6 +29,7 @@
 #include "workloads/Codegen.h"
 #include "workloads/Fleet.h"
 #include "workloads/Gui.h"
+#include "workloads/Oracle.h"
 #include "workloads/Runner.h"
 
 #include <benchmark/benchmark.h>
@@ -402,6 +403,69 @@ void BM_XipPrime(benchmark::State &State) {
       (unsigned long long)Installed, (unsigned long long)BytesCopied));
 }
 BENCHMARK(BM_XipPrime)->Arg(0)->Arg(1);
+
+/// A warm shared Oracle database: one slot accumulated over two passes
+/// of all five phases under the memory-trace tool, as in the
+/// oracle-memtrace end-to-end workload. Each prime admits the traces
+/// every phase left behind; a phase runs only a part of them.
+struct OraclePhaseFixture {
+  workloads::OracleSetup Oracle = workloads::buildOracleSetup(0.25);
+  bench::ScratchDir Dir{"pcc-bench-oracle"};
+  persist::CacheDatabase Db{Dir.path()};
+  support::ThreadPool Pool{2, /*Background=*/true};
+
+  OraclePhaseFixture() {
+    persist::PersistOptions Opts;
+    Opts.Pool = &Pool;
+    for (int Pass = 0; Pass != 2; ++Pass)
+      for (const std::vector<uint8_t> &In : Oracle.PhaseInputs) {
+        dbi::MemRefTraceTool Tool;
+        bench::mustOk(workloads::runPersistent(Oracle.Registry, Oracle.App,
+                                               In, Db, Opts, &Tool),
+                      "warm-up run of an Oracle phase");
+      }
+  }
+};
+
+OraclePhaseFixture &oraclePhaseFixture() {
+  static OraclePhaseFixture F;
+  return F;
+}
+
+/// prime() plus the run of Oracle phase Arg (3 = Work) from the warm
+/// shared database, write-back off so every iteration primes the same
+/// plan. Counters: traces the prime admitted, and traces the run built
+/// (deferred install builds a trace at its first lookup).
+void BM_PrimeOraclePhase(benchmark::State &State) {
+  OraclePhaseFixture &F = oraclePhaseFixture();
+  const auto Phase = static_cast<unsigned>(State.range(0));
+  persist::PersistOptions Opts;
+  Opts.WriteBack = false;
+  Opts.Pool = &F.Pool;
+  uint32_t Admitted = 0;
+  uint32_t Built = 0;
+  for (auto _ : State) {
+    auto M = workloads::makeMachine(F.Oracle.Registry, F.Oracle.App,
+                                    F.Oracle.PhaseInputs[Phase]);
+    if (!M)
+      std::abort();
+    dbi::MemRefTraceTool Tool;
+    dbi::Engine Engine(*M, &Tool);
+    persist::PersistentSession Session(F.Db, Opts);
+    auto Prime = Session.prime(Engine);
+    if (!Prime || !Prime->CacheFound)
+      std::abort();
+    vm::RunResult Run = Engine.run();
+    if (!Run.ok())
+      std::abort();
+    Admitted = Prime->TracesInstalled;
+    Built = Engine.cache().tracesBuilt();
+  }
+  State.counters["admitted"] = Admitted;
+  State.counters["built"] = Built;
+  State.SetLabel(workloads::oraclePhaseName(Phase));
+}
+BENCHMARK(BM_PrimeOraclePhase)->Arg(0)->Arg(3);
 
 /// Fixture for the prime/execution overlap benchmark: the same scale of
 /// application as PrimeFixture, but traced with MaxTraceInsts = 64.

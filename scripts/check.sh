@@ -8,14 +8,20 @@
 #                                    store publish/lock paths)
 #   scripts/check.sh --faults        fault-tolerance soak: runs the
 #                                    fault_injection_test,
-#                                    parallel_pipeline_test and
-#                                    writeback_test binaries
+#                                    parallel_pipeline_test,
+#                                    writeback_test and
+#                                    deferred_install_test binaries
 #                                    repeatedly under ASan and then
 #                                    TSan (separate build trees);
 #                                    writeback_test holds finalize to
 #                                    golden bytes and the stores'
 #                                    publish-by-reference contract
-#                                    under merges and breaker retries
+#                                    under merges and breaker retries;
+#                                    deferred_install_test holds the
+#                                    deferred install (admit at prime,
+#                                    build on first lookup) to the
+#                                    eager one, corrupt payloads,
+#                                    flushes and evictions included
 #   scripts/check.sh --tidy          clang-tidy over src/ with the
 #                                    repo .clang-tidy (bugprone-*,
 #                                    concurrency-*, performance-*);
@@ -35,8 +41,12 @@
 #                                    (plain certificate replay, then
 #                                    --deep module-bound re-check)
 #   scripts/check.sh --xip           install-path soak: runs the
-#                                    xip_test and fault_injection_test
-#                                    binaries, the prime slice of
+#                                    xip_test, fault_injection_test
+#                                    and deferred_install_test
+#                                    binaries (the last compares
+#                                    shipped and eagerly completed
+#                                    installs, borrowed and copied
+#                                    pools alike), the prime slice of
 #                                    pcc_tests (PIC rebase, validation,
 #                                    v1 rejection, session edges and
 #                                    tiered read-through — the copy
@@ -123,13 +133,15 @@ if [ "${1:-}" = "--faults" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target fault_injection_test \
-      --target parallel_pipeline_test --target writeback_test
+      --target parallel_pipeline_test --target writeback_test \
+      --target deferred_install_test
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== fault soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/fault_injection_test"
       "$SOAK/tests/parallel_pipeline_test"
       "$SOAK/tests/writeback_test"
+      "$SOAK/tests/deferred_install_test"
       I=$((I + 1))
     done
   done
@@ -145,13 +157,14 @@ if [ "${1:-}" = "--xip" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target xip_test \
-      --target fault_injection_test --target pcc_tests \
-      --target shared_desktop
+      --target fault_injection_test --target deferred_install_test \
+      --target pcc_tests --target shared_desktop
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== xip soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/xip_test"
       "$SOAK/tests/fault_injection_test"
+      "$SOAK/tests/deferred_install_test"
       "$SOAK/tests/pcc_tests" --gtest_filter='Pic.*:Validation.*:FormatMigration.*:SessionEdge*:TieredStoreTest.*'
       "$SOAK/examples/shared_desktop"
       I=$((I + 1))

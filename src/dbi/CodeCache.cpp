@@ -28,9 +28,93 @@ void TranslatedTrace::buildLiveOps() {
   LiveOpsBuilt = true;
 }
 
-TranslatedTrace *CodeCache::lookup(uint32_t GuestAddr) const {
+TranslatedTrace *CodeCache::lookup(uint32_t GuestAddr) {
   auto It = TranslationMap.find(GuestAddr);
-  return It == TranslationMap.end() ? nullptr : It->second;
+  if (It != TranslationMap.end())
+    return It->second;
+  return Unbuilt == 0 ? nullptr : buildOnMiss(GuestAddr);
+}
+
+TranslatedTrace *CodeCache::buildOnMiss(uint32_t GuestAddr) {
+  // A built slot is in the map, so a slot found here is unbuilt.
+  const uint32_t Slot = slotOf(GuestAddr);
+  return Slot == NoSlot ? nullptr : buildSlot(Slot);
+}
+
+bool CodeCache::admitSlot(uint32_t GuestStart, uint32_t DataBytes) {
+  assert(Traces.size() == PlanSlots && !Build &&
+         "admission precedes every other trace");
+  if (DataPoolUsed + DataBytes > DataPoolCapacity)
+    return false;
+  DataPoolUsed += DataBytes;
+  Traces.emplace_back();
+  SlotByStart.emplace_back(GuestStart, PlanSlots++);
+  ++Unbuilt;
+  return true;
+}
+
+void CodeCache::sealPlan(SlotBuilder B) {
+  std::sort(SlotByStart.begin(), SlotByStart.end());
+  Build = std::move(B);
+}
+
+uint32_t CodeCache::slotOf(uint32_t GuestStart) const {
+  if (SlotByStart.empty())
+    return NoSlot;
+  // Branch-free search for the last entry at or below GuestStart: prime
+  // runs one per persisted link, so mispredicted branches would add up.
+  const std::pair<uint32_t, uint32_t> *Base = SlotByStart.data();
+  for (size_t N = SlotByStart.size(); N > 1; N -= N / 2)
+    Base = Base[N / 2].first <= GuestStart ? Base + N / 2 : Base;
+  return Base->first == GuestStart ? Base->second : NoSlot;
+}
+
+TranslatedTrace *CodeCache::buildSlot(uint32_t Slot) {
+  assert(Slot < PlanSlots && !Traces[Slot] && "slot already built");
+  std::unique_ptr<TranslatedTrace> T = Build(*this, Slot);
+  TranslatedTrace *Raw = T.get();
+  TranslationMap.emplace(Raw->guestStart(), Raw);
+  Traces[Slot] = std::move(T);
+  --Unbuilt;
+  ++Built;
+  return Raw;
+}
+
+TranslatedTrace *CodeCache::resolvePendingLink(TranslatedTrace *From,
+                                               uint32_t ExitIndex) {
+  TraceExit &Exit = From->exits()[ExitIndex];
+  assert(Exit.LinkPending && "no pending link on this exit");
+  Exit.LinkPending = false;
+  TranslatedTrace *To = lookup(Exit.Target);
+  assert(To && "a pending link's target slot is resident");
+  link(From, ExitIndex, To);
+  return To;
+}
+
+void CodeCache::completeDeferredInstalls() {
+  if (Unbuilt != 0)
+    for (uint32_t Slot = 0; Slot != PlanSlots; ++Slot)
+      if (!Traces[Slot])
+        buildSlot(Slot);
+  // Only plan traces carry pending marks.
+  for (uint32_t Slot = 0; Slot != PlanSlots; ++Slot) {
+    TranslatedTrace *T = Traces[Slot].get();
+    for (uint32_t I = 0; I != T->exits().size(); ++I)
+      if (T->exits()[I].LinkPending)
+        resolvePendingLink(T, I);
+  }
+}
+
+bool CodeCache::slotAwaitsMaterialize(uint32_t Slot) const {
+  return Slot < PlanSlots &&
+         (!Traces[Slot] || !Traces[Slot]->isMaterialized());
+}
+
+void CodeCache::dissolvePlan() {
+  completeDeferredInstalls();
+  PlanSlots = 0;
+  SlotByStart = {};
+  Build = nullptr;
 }
 
 ErrorOr<uint32_t> CodeCache::allocateCode(uint32_t NumBytes) {
@@ -86,6 +170,7 @@ CodeCache::addTrace(std::unique_ptr<TranslatedTrace> T) {
 void CodeCache::reserveTraces(size_t N) {
   TranslationMap.reserve(TranslationMap.size() + N);
   Traces.reserve(Traces.size() + N);
+  SlotByStart.reserve(SlotByStart.size() + N);
 }
 
 Status CodeCache::installPersistedPool(std::vector<uint8_t> PoolBytes) {
@@ -148,6 +233,7 @@ void CodeCache::unlinkTrace(TranslatedTrace *T) {
 }
 
 uint32_t CodeCache::removeTracesInRange(uint32_t Base, uint32_t Size) {
+  dissolvePlan();
   auto inRange = [&](uint32_t Addr) {
     return Addr >= Base && Addr - Base < Size;
   };
@@ -177,11 +263,17 @@ void CodeCache::flush() {
   BorrowedKeepalive.reset();
   ResidentPages.clear();
   DataPoolUsed = 0;
+  // The plan goes with everything else; nothing needs building first.
+  PlanSlots = 0;
+  Unbuilt = 0;
+  SlotByStart = {};
+  Build = nullptr;
   ++ModificationGeneration;
 }
 
 uint32_t CodeCache::evictOldest(double Fraction) {
   assert(Fraction > 0 && Fraction <= 1 && "fraction out of range");
+  dissolvePlan();
   uint32_t ToEvict = static_cast<uint32_t>(Traces.size() * Fraction);
   if (ToEvict == 0 && !Traces.empty())
     ToEvict = 1;

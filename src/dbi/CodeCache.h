@@ -13,10 +13,28 @@
 /// whole cache is flushed, discarding all translated code and data
 /// structures (Section 4.1).
 ///
-/// Persisted traces are installed *unmaterialized*: their translated code
-/// lives in the memory-mapped pool and is decoded on first execution,
-/// charging demand-paging costs — mirroring "disk I/O occurs based on the
-/// access pattern of the executing code" (Section 3.2.3).
+/// Persisted traces follow "disk I/O occurs based on the access pattern
+/// of the executing code" (Section 3.2.3) in three stages:
+///
+///   * Admit at prime. Each admitted trace becomes a resident, *unbuilt*
+///     plan slot: its data-pool bytes are charged and its start is
+///     entered in a sorted (start, slot) table, but no trace object,
+///     payload, map node or link exists yet. Slots occupy the front of
+///     traces() in plan order, so insertion order — which eviction
+///     follows — is the same as if every trace had been built at prime.
+///   * Build on first lookup. A translation-map miss on a slot's start
+///     builds its trace through the plan's SlotBuilder. A persisted link
+///     is restored as a pending mark on the exit (TraceExit::LinkPending)
+///     and turned into a real link when the exit is first taken.
+///   * Materialize on first execution. The built trace's code still
+///     lives in the mapped pool and is CRC-checked and decoded (or
+///     borrowed in place) when it first runs, charging demand-paging
+///     costs.
+///
+/// flush() drops the plan with everything else; evictOldest() and
+/// removeTracesInRange() first complete every deferred install
+/// (completeDeferredInstalls()), so they act on exactly the cache an
+/// eager install would have built, and the plan then dissolves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +45,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -42,6 +61,11 @@ struct TraceExit {
   ExitKind Kind = ExitKind::Halt;
   uint32_t InstIndex = 0;
   uint32_t Target = 0;
+  /// A persisted link to the plan slot starting at Target, restored at
+  /// build time but not yet made: taking the exit builds the target if
+  /// needed and links it, charging neither dispatch nor linking, just
+  /// as if the link had been restored at prime.
+  bool LinkPending = false;
   /// Linked successor, or nullptr when the exit still goes through the
   /// dispatcher. Only linkable exits are ever linked.
   TranslatedTrace *Link = nullptr;
@@ -59,9 +83,9 @@ struct PersistedPayload {
   int64_t RebaseDelta = 0;
   /// Per-instruction reloc bitmask (empty when RebaseDelta == 0).
   std::vector<uint8_t> RelocMask;
-  /// Index of this trace in the source cache file's trace index, so
-  /// finalize() can harvest unexecuted traces without decoding them.
-  uint32_t SourceTraceIndex = 0;
+  /// The trace's plan slot: async payload jobs address their results by
+  /// it.
+  uint32_t PlanSlot = 0;
   /// True when the trace's pool bytes live in a borrowed executable
   /// mapping: first execution CRC-checks and bounds-scans the mapped
   /// bytes in place instead of decoding a private copy. Cleared when
@@ -198,8 +222,10 @@ public:
   /// per-instruction bookkeeping (liveness, register bindings). The
   /// paper's Figure 9 observes these outweigh the code itself.
   uint32_t dataBytes() const {
-    return 64 + 40 * static_cast<uint32_t>(Exits.size()) + 24 +
-           8 * GuestInstCount;
+    return dataBytesFor(static_cast<uint32_t>(Exits.size()), GuestInstCount);
+  }
+  static uint32_t dataBytesFor(uint32_t NumExits, uint32_t NumInsts) {
+    return 64 + 40 * NumExits + 24 + 8 * NumInsts;
   }
 
 private:
@@ -225,6 +251,14 @@ private:
   uint32_t OptGen = 0;
 };
 
+class CodeCache;
+
+/// Builds the trace of plan slot \p Slot: unmaterialized, with its
+/// persisted payload, and with LinkPending set on the exits whose
+/// persisted links are restored. Called on the engine thread.
+using SlotBuilder = std::function<std::unique_ptr<TranslatedTrace>(
+    const CodeCache &Cache, uint32_t Slot)>;
+
 /// The code cache: pools, translation map, and link bookkeeping.
 class CodeCache {
 public:
@@ -234,7 +268,46 @@ public:
 
   /// \name Translation map
   /// @{
-  TranslatedTrace *lookup(uint32_t GuestAddr) const;
+  /// The trace for \p GuestAddr. A miss on an unbuilt plan slot's start
+  /// builds that slot's trace.
+  TranslatedTrace *lookup(uint32_t GuestAddr);
+  /// @}
+
+  /// \name Deferred install
+  /// @{
+  static constexpr uint32_t NoSlot = UINT32_MAX;
+
+  /// Admits a persisted trace starting at \p GuestStart as the next plan
+  /// slot, charging its \p DataBytes to the data pool now. Fails like
+  /// addTrace() when the data pool is exhausted. Only valid before any
+  /// trace is added and before sealPlan().
+  bool admitSlot(uint32_t GuestStart, uint32_t DataBytes);
+
+  /// Ends admission: \p Build will build each slot on demand.
+  void sealPlan(SlotBuilder Build);
+
+  /// The plan slot admitted for \p GuestStart, or NoSlot. Meaningful
+  /// until a flush, eviction or removal dissolves the plan.
+  uint32_t slotOf(uint32_t GuestStart) const;
+
+  /// Builds every unbuilt slot, then makes every pending link a real
+  /// one: afterwards the cache is exactly what an eager install at prime
+  /// would have left. Charges nothing.
+  void completeDeferredInstalls();
+
+  /// Links \p From's exit \p ExitIndex, which carries a pending mark, to
+  /// its target slot's trace (built if need be), and returns the target.
+  TranslatedTrace *resolvePendingLink(TranslatedTrace *From,
+                                      uint32_t ExitIndex);
+
+  /// True while plan slot \p Slot is resident and its trace has not
+  /// materialized (unbuilt slots included).
+  bool slotAwaitsMaterialize(uint32_t Slot) const;
+
+  /// Plan slots resident at the front of traces() (0 once dissolved).
+  uint32_t planSlots() const { return PlanSlots; }
+  /// Plan slots built so far, over the cache's lifetime.
+  uint32_t tracesBuilt() const { return Built; }
   /// @}
 
   /// Reserves \p NumBytes in the code pool; fails with OutOfMemory when
@@ -286,7 +359,8 @@ public:
 
   /// Removes every trace whose guest start lies in
   /// [\p Base, \p Base + \p Size), unlinking all edges in and out.
-  /// Pool space is not reclaimed (linear pools, as in Pin).
+  /// Pool space is not reclaimed (linear pools, as in Pin). Completes
+  /// the deferred installs first.
   /// \returns the number of traces removed.
   uint32_t removeTracesInRange(uint32_t Base, uint32_t Size);
 
@@ -298,7 +372,8 @@ public:
   /// Hazelwood line of work the paper cites): evicts the oldest
   /// \p Fraction of resident traces and *compacts* the code pool around
   /// the survivors, reclaiming their bytes. All evicted traces are
-  /// unlinked; surviving pool pages are resident afterwards.
+  /// unlinked; surviving pool pages are resident afterwards. Completes
+  /// the deferred installs first.
   /// \returns the number of traces evicted.
   uint32_t evictOldest(double Fraction);
 
@@ -328,7 +403,8 @@ public:
   uint64_t dataPoolCapacity() const { return DataPoolCapacity; }
   /// @}
 
-  /// All resident traces, in insertion order.
+  /// All resident traces, in insertion order. The first planSlots()
+  /// entries are the plan slots; an unbuilt one is null.
   const std::vector<std::unique_ptr<TranslatedTrace>> &traces() const {
     return Traces;
   }
@@ -349,9 +425,24 @@ private:
   /// One bit per 4 KiB code-pool page: resident or not.
   std::vector<bool> ResidentPages;
   uint64_t ModificationGeneration = 0;
+  /// Deferred install: Traces[0, PlanSlots) are the plan slots, of which
+  /// Unbuilt are still null; SlotByStart maps their starts to slots.
+  uint32_t PlanSlots = 0;
+  uint32_t Unbuilt = 0;
+  uint32_t Built = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> SlotByStart;
+  SlotBuilder Build;
 
   /// Detaches \p T from the link graph (both directions).
   void unlinkTrace(TranslatedTrace *T);
+  /// Builds unbuilt plan slot \p Slot and maps its trace.
+  TranslatedTrace *buildSlot(uint32_t Slot);
+  /// lookup()'s miss path, kept out of line so the hit path — every
+  /// indirect exit takes it — stays as lean as a plain map find.
+  [[gnu::noinline]] TranslatedTrace *buildOnMiss(uint32_t GuestAddr);
+  /// Completes the deferred installs and forgets the plan (before a
+  /// trace is removed, which shifts traces() under the slots).
+  void dissolvePlan();
 };
 
 } // namespace dbi

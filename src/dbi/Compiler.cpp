@@ -82,8 +82,7 @@ ErrorOr<TranslatedTrace *> Compiler::compile(uint32_t StartAddr,
   std::vector<TraceExit> Exits;
   Exits.reserve(T.Exits.size());
   for (const TraceExitInfo &Info : T.Exits)
-    Exits.push_back(TraceExit{Info.Kind, Info.InstIndex, Info.Target,
-                              nullptr});
+    Exits.push_back(TraceExit{Info.Kind, Info.InstIndex, Info.Target});
 
   auto NewTrace = std::make_unique<TranslatedTrace>(
       T.StartAddr, T.numInsts(), *Offset, PoolBytes, std::move(Exits),

@@ -39,6 +39,7 @@ ErrorOr<TranslatedTrace *> Engine::lookupOrCompile(uint32_t Pc) {
   if (Opts.Eviction == EvictionPolicy::EvictOldestHalf) {
     // Granular reaction: drop the oldest half, compact, retry.
     uint32_t Evicted = Cache.evictOldest(0.5);
+    Prevalidated.clear();
     Stats.TracesEvicted += Evicted;
     Stats.EvictionCycles +=
         Evicted * Opts.Costs.EvictionCyclesPerTrace;
@@ -49,6 +50,7 @@ ErrorOr<TranslatedTrace *> Engine::lookupOrCompile(uint32_t Pc) {
   // A pool filled up: flush the whole cache (translated code and data
   // structures) and retry once, as Pin does.
   Cache.flush();
+  Prevalidated.clear();
   ++Stats.CacheFlushes;
   return TheCompiler.compile(Pc, Stats);
 }
@@ -125,19 +127,21 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
   // observe the worker count.
   std::optional<ReadyTrace> Ready;
   if (InstallQ) {
-    auto It = Prevalidated.find(T->guestStart());
+    auto It = Prevalidated.find(P->PlanSlot);
     if (It != Prevalidated.end()) {
       Ready = std::move(It->second);
       Prevalidated.erase(It);
     } else {
       // Empty unless a worker already published the chunk covering
-      // this trace; its chunk-mates are stashed for their own first
-      // executions.
-      for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
-        if (R.GuestStart == T->guestStart())
+      // this trace. Its chunk-mates are stashed for their own first
+      // executions, except those that can have none: already
+      // materialized (inline, while the chunk was in flight) or no
+      // longer resident.
+      for (ReadyTrace &R : InstallQ->takeFor(P->PlanSlot)) {
+        if (R.Slot == P->PlanSlot)
           Ready = std::move(R);
-        else
-          Prevalidated.emplace(R.GuestStart, std::move(R));
+        else if (Cache.slotAwaitsMaterialize(R.Slot))
+          Prevalidated.emplace(R.Slot, std::move(R));
       }
     }
   }
@@ -326,6 +330,7 @@ vm::RunResult Engine::run() {
           // The run continues; only the damaged translation is lost.
           Pc = Current->guestStart();
           Cache.removeTracesInRange(Pc, 1);
+          Prevalidated.clear();
           ++Stats.TracesDroppedCorrupt;
           Current = nullptr;
           Pending = PendingLink();
@@ -419,17 +424,23 @@ vm::RunResult Engine::run() {
           [](const Instruction &I) { return I.Op == Opcode::Nop; }));
 
     // Leaves the trace through linkable \p Exit: straight into the
-    // linked successor, or to the dispatcher, which links it.
+    // linked successor, or to the dispatcher, which links it. A pending
+    // persisted link is made here, outside the dispatcher: prime
+    // restored it.
     auto leaveThrough = [&](TraceExit *Exit) {
       assert(isLinkableExit(Exit->Kind) && "unexpected exit kind");
       if (Exit->Link) {
         Next = Exit->Link;
         return;
       }
+      const auto Index =
+          static_cast<uint32_t>(Exit - Current->exits().data());
+      if (Exit->LinkPending) [[unlikely]] {
+        Next = Cache.resolvePendingLink(Current, Index);
+        return;
+      }
       Pc = Exit->Target;
-      Pending = PendingLink{
-          Current, static_cast<uint32_t>(Exit - Current->exits().data()),
-          Cache.modificationGeneration()};
+      Pending = PendingLink{Current, Index, Cache.modificationGeneration()};
     };
 
     const Instruction &ExitInst = Body[Exit.Slot];

@@ -110,14 +110,18 @@ public:
   }
 
   /// Attaches the async-prime install queue: worker threads publish
-  /// CRC-validated, pre-decoded persisted payloads there and a trace's
-  /// first execution takes the published chunk covering it. Results
+  /// CRC-validated, pre-decoded persisted payloads there, by plan slot,
+  /// and a trace's first execution takes the published chunk covering
+  /// its slot. Results
   /// are bit-identical with and without a queue — the background work
   /// is host-side only and every modeled cycle is still charged here at
   /// first execution.
   void setInstallQueue(std::shared_ptr<TraceInstallQueue> Q) {
     InstallQ = std::move(Q);
   }
+
+  /// Published results held for chunk-mates' first executions.
+  size_t prevalidatedResults() const { return Prevalidated.size(); }
 
   /// What a materialize-time verification hook did, reported back so
   /// the engine can account for it without knowing how the session
@@ -168,8 +172,9 @@ public:
   }
 
 private:
-  /// Dispatcher slow path: translation-map lookup, compiling on a miss,
-  /// flushing and retrying when a pool fills.
+  /// Dispatcher slow path: translation-map lookup (building an admitted
+  /// persisted trace on a miss), compiling on a miss, flushing and
+  /// retrying when a pool fills.
   ErrorOr<TranslatedTrace *> lookupOrCompile(uint32_t Pc);
 
   /// Decodes a persisted trace's body on first execution, charging
@@ -205,9 +210,9 @@ private:
   /// Cross-process page-residency probe (null = single process).
   ResidencyProbe ProbeResidency;
   /// Chunk-mates of a taken chunk, awaiting their own first
-  /// executions, by guest start. An entry whose trace was flushed
-  /// before first execution simply goes unused; the dispatcher
-  /// recompiles that PC as on a cold run.
+  /// executions, by plan slot. Only slots that still await
+  /// materialization are kept, and a flush, eviction or removal (which
+  /// dissolves the plan) drops them all.
   std::unordered_map<uint32_t, ReadyTrace> Prevalidated;
 };
 

@@ -5,18 +5,16 @@
 #include "dbi/Compiler.h"
 #include "support/Hashing.h"
 
-#include <cassert>
-
 using namespace pcc;
 using namespace pcc::dbi;
 
-ReadyTrace pcc::dbi::validatePersistedPayload(uint32_t GuestStart,
+ReadyTrace pcc::dbi::validatePersistedPayload(uint32_t Slot,
                                               uint32_t InstCount,
                                               const uint8_t *Raw,
                                               uint32_t RawBytes,
                                               const PersistedPayload &P) {
   ReadyTrace R;
-  R.GuestStart = GuestStart;
+  R.Slot = Slot;
   R.CrcOk = crc32(Raw, RawBytes) == P.ExpectedCodeCrc;
   if (!R.CrcOk)
     return R;
@@ -37,12 +35,8 @@ ReadyTrace pcc::dbi::validatePersistedPayload(uint32_t GuestStart,
   return R;
 }
 
-void TraceInstallQueue::addJob(std::vector<uint32_t> Starts, JobFn Fn) {
+void TraceInstallQueue::addJob(JobFn Fn) {
   std::unique_lock<std::mutex> Lock(Mutex);
-  for (uint32_t Start : Starts) {
-    assert(!ByStart.count(Start) && "duplicate payload job");
-    ByStart.emplace(Start, Jobs.size());
-  }
   Jobs.push_back(Job{std::move(Fn), JobState::Unclaimed, {}});
 }
 
@@ -74,12 +68,12 @@ bool TraceInstallQueue::runNextJob() {
   return true;
 }
 
-std::vector<ReadyTrace> TraceInstallQueue::takeFor(uint32_t GuestStart) {
+std::vector<ReadyTrace> TraceInstallQueue::takeFor(uint32_t Slot) {
   std::unique_lock<std::mutex> Lock(Mutex);
-  auto It = ByStart.find(GuestStart);
-  if (It == ByStart.end())
+  const size_t Index = Slot / PayloadChunkSlots;
+  if (Index >= Jobs.size())
     return {};
-  Job &J = Jobs[It->second];
+  Job &J = Jobs[Index];
   switch (J.State) {
   case JobState::Unclaimed:
     // Withdraw: the engine needs the trace *now*; validating just that

@@ -7,20 +7,24 @@
 ///
 /// \file
 /// The hand-off between background payload validation and the engine:
-/// prime() installs persisted traces synchronously (so the translation
+/// prime() admits persisted traces synchronously (so the translation
 /// map, links and every modeled cost are identical at any worker
 /// count) but defers the *host-side* work of each payload — CRC over
 /// the stored bytes and decoding the translated body — to jobs on the
-/// shared ThreadPool. Workers publish finished chunks here; at a
-/// trace's first execution the engine takes the published chunk that
-/// covers it, so first execution skips the inline CRC + decode stall
-/// while charging exactly the modeled cycles the synchronous path
-/// charges. Both sides validate through validatePersistedPayload().
+/// shared ThreadPool. Jobs address the admitted plan by slot: job K
+/// covers slots [K * PayloadChunkSlots, (K + 1) * PayloadChunkSlots).
+/// Workers publish finished chunks here; at a trace's first execution
+/// the engine takes the published chunk that covers its slot, so first
+/// execution skips the inline CRC + decode stall while charging exactly
+/// the modeled cycles the synchronous path charges. Both sides validate
+/// through validatePersistedPayload().
 ///
 /// Invariants that keep results bit-identical for any worker count:
 ///
-///   * Jobs read only the session-owned cache-file view, never engine
-///     memory — a flush or eviction can never race a worker.
+///   * Jobs read only immutable, session-owned data — the cache-file
+///     view and the admitted plan's payload parameters — never engine
+///     memory or code-cache slots, so a flush or eviction can never race
+///     a worker.
 ///   * All modeled charges (CRC, materialize, page-touch cycles) are
 ///     made by the engine thread at first execution, whether the body
 ///     came from a worker or was validated inline.
@@ -28,9 +32,10 @@
 ///     in-flight one skipped, and either way the engine validates its
 ///     trace inline from the same stored bytes, producing the same
 ///     trace.
-///   * A result whose trace was flushed or evicted before arrival is
-///     simply never consumed — the guest PC recompiles through the
-///     normal dispatcher path, same as a cold run.
+///   * A result whose trace already materialized, or was flushed or
+///     evicted, is dropped by the engine, never consumed — the guest PC
+///     recompiles through the normal dispatcher path, same as a cold
+///     run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +50,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace pcc {
@@ -63,10 +67,17 @@ struct ScheduleStats {
   uint64_t ChunksInFlightSkipped = 0; ///< takeFor() hit a Claimed job.
 };
 
+/// Plan slots per install-queue job. Batching keeps the producer loop —
+/// which runs on the engine thread inside prime() — and the queue's
+/// bookkeeping off the run's critical path; a chunk is still small
+/// enough that losing a withdrawn chunk's background work is
+/// negligible.
+inline constexpr uint32_t PayloadChunkSlots = 64;
+
 /// One validated persisted payload, ready to install — whether a
 /// worker or the engine's first-execution path validated it.
 struct ReadyTrace {
-  uint32_t GuestStart = 0;
+  uint32_t Slot = 0; ///< The trace's plan slot.
   /// Payload CRC over the raw stored bytes matched the trace index.
   bool CrcOk = false;
   /// Decode failure of a CRC-clean payload (success otherwise). The
@@ -83,7 +94,7 @@ struct ReadyTrace {
 /// load delta through rebaseTranslatedImage. Reads nothing but its
 /// arguments, so the engine's first-execution path and async-prime
 /// workers run the identical check.
-ReadyTrace validatePersistedPayload(uint32_t GuestStart, uint32_t InstCount,
+ReadyTrace validatePersistedPayload(uint32_t Slot, uint32_t InstCount,
                                     const uint8_t *Raw, uint32_t RawBytes,
                                     const PersistedPayload &P);
 
@@ -91,28 +102,28 @@ ReadyTrace validatePersistedPayload(uint32_t GuestStart, uint32_t InstCount,
 /// One producer (the session, before run()), N worker threads, one
 /// consumer (the engine thread).
 ///
-/// Jobs are *batched*: each covers a contiguous chunk of persisted
-/// traces and publishes one ReadyTrace per trace. Batching keeps the
-/// producer/consumer overhead (closure allocation, map inserts, lock
-/// round-trips) proportional to the chunk count rather than the trace
-/// count, which matters because the producer loop runs on the engine
-/// thread inside prime().
+/// Jobs are *batched*: each covers a chunk of PayloadChunkSlots plan
+/// slots and publishes one ReadyTrace per slot. Batching keeps the
+/// producer/consumer overhead (closure allocation, lock round-trips)
+/// proportional to the chunk count rather than the trace count, which
+/// matters because the producer loop runs on the engine thread inside
+/// prime().
 class TraceInstallQueue {
 public:
   using JobFn = std::function<std::vector<ReadyTrace>()>;
 
-  /// Registers a job producing the payloads for the persisted traces
-  /// starting at \p Starts (one ReadyTrace each, same order). Called
-  /// only before workers start (no locking vs. addJob itself).
-  void addJob(std::vector<uint32_t> Starts, JobFn Fn);
+  /// Registers the job for the next chunk of plan slots: job K produces
+  /// the payloads of slots [K * PayloadChunkSlots, ...), one ReadyTrace
+  /// each, in slot order. Called only before workers start.
+  void addJob(JobFn Fn);
 
   /// Worker protocol: claims the next unclaimed job, runs it outside
   /// the lock, publishes the results. Returns false when no unclaimed
   /// job remains (the worker loop exits).
   bool runNextJob();
 
-  /// Engine side: the published results of the job covering
-  /// \p GuestStart — the requested trace plus its chunk-mates, which
+  /// Engine side: the published results of the job covering plan slot
+  /// \p Slot — the requested trace plus its chunk-mates, which
   /// the caller stashes for their own first executions. An unclaimed
   /// job is withdrawn and empty returned: the caller validates the one
   /// trace it needs inline (exactly the synchronous path), and the
@@ -122,9 +133,9 @@ public:
   /// background priority, so waiting would invert priorities); it
   /// validates inline, and the worker's duplicate result for that
   /// trace is never consumed.
-  /// Empty also when no job covers the start or the job was already
+  /// Empty also when no job covers the slot or the job was already
   /// consumed.
-  std::vector<ReadyTrace> takeFor(uint32_t GuestStart);
+  std::vector<ReadyTrace> takeFor(uint32_t Slot);
 
   /// Withdraws every still-unclaimed job (the session is done with the
   /// prime pipeline; workers drain out).
@@ -156,8 +167,7 @@ private:
 
   mutable std::mutex Mutex;
   std::condition_variable Advanced; ///< Signalled on publish.
-  std::vector<Job> Jobs;
-  std::unordered_map<uint32_t, size_t> ByStart;
+  std::vector<Job> Jobs; ///< Job K covers chunk K of the plan slots.
   size_t NextScan = 0;  ///< Claim cursor (everything before is taken).
   size_t InFlight = 0;  ///< Jobs in state Claimed.
   ScheduleStats Sched;  ///< Guarded by Mutex.

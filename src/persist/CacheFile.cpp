@@ -15,7 +15,7 @@ using namespace pcc::persist;
 
 uint32_t pcc::persist::traceDataBytes(uint32_t NumExits,
                                       uint32_t NumInsts) {
-  return 64 + 40 * NumExits + 24 + 8 * NumInsts;
+  return dbi::TranslatedTrace::dataBytesFor(NumExits, NumInsts);
 }
 
 uint32_t CacheFile::maxOptGen() const {

@@ -253,23 +253,27 @@ ErrorOr<CacheFileView> CacheFileView::openFile(const std::string &Path,
 }
 
 std::vector<ExitRecord> CacheFileView::readExits(uint32_t I) const {
+  std::vector<ExitRecord> Exits;
+  Exits.reserve(Entries[I].ExitCount);
+  for (uint32_t K = 0; K != Entries[I].ExitCount; ++K)
+    Exits.push_back(exitRecord(I, K));
+  return Exits;
+}
+
+ExitRecord CacheFileView::exitRecord(uint32_t I, uint32_t K) const {
   assert(OpenDepth == Depth::Index && "exits need an index-deep open");
   const TraceIndexEntry &E = Entries[I];
-  const uint8_t *Meta = Data + TraceIndexOffset + E.MetaOffset;
-  ByteReader Reader(Meta, static_cast<size_t>(E.ExitCount) *
-                              v2::ExitRecordBytes);
-  std::vector<ExitRecord> Exits;
-  Exits.reserve(E.ExitCount);
-  for (uint32_t K = 0; K != E.ExitCount; ++K) {
-    ExitRecord Exit;
-    Exit.Kind = Reader.readU8();
-    Exit.InstIndex = Reader.readU32();
-    Exit.Target = Reader.readU32();
-    Exit.LinkedStart = Reader.readU32();
-    Exits.push_back(Exit);
-  }
+  assert(K < E.ExitCount && "exit index out of range");
+  ByteReader Reader(Data + TraceIndexOffset + E.MetaOffset +
+                        static_cast<size_t>(K) * v2::ExitRecordBytes,
+                    v2::ExitRecordBytes);
+  ExitRecord Exit;
+  Exit.Kind = Reader.readU8();
+  Exit.InstIndex = Reader.readU32();
+  Exit.Target = Reader.readU32();
+  Exit.LinkedStart = Reader.readU32();
   assert(!Reader.failed() && "exit heap bounds were validated at open");
-  return Exits;
+  return Exit;
 }
 
 std::vector<uint8_t> CacheFileView::readRelocMask(uint32_t I) const {

@@ -204,6 +204,8 @@ public:
 
   /// Decodes trace \p I's exit records from the metadata heap.
   std::vector<ExitRecord> readExits(uint32_t I) const;
+  /// Decodes exit \p K of trace \p I (K < entry(I).ExitCount).
+  ExitRecord exitRecord(uint32_t I, uint32_t K) const;
   /// Copies trace \p I's reloc mask from the metadata heap.
   std::vector<uint8_t> readRelocMask(uint32_t I) const;
   /// Raw (stored, never rebased) code image of trace \p I.

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -121,6 +120,91 @@ struct PersistentSession::InstallPlan {
   uint32_t Skipped = 0;             ///< Entries the walk refused.
   uint64_t CodeBytes = 0;           ///< Sum of the usable code images.
   bool Rebased = false; ///< Some validated module moved since the write.
+};
+
+/// The traces prime() admitted, one per code-cache plan slot, in plan
+/// order, with what building one needs beyond the view. Immutable once
+/// prime() returns; shared by the cache's slot builder, the async
+/// payload jobs and finalize().
+struct PersistentSession::AdmittedPlan {
+  struct Slot {
+    uint32_t TraceIndex = 0; ///< Index into the view's trace index.
+    uint32_t Start = 0;      ///< Rebased guest start.
+    uint32_t PoolOffset = 0; ///< Where the pool strategy put the code.
+    int64_t Delta = 0;       ///< Load-address delta of its module.
+  };
+  std::shared_ptr<const CacheFileView> View;
+  std::vector<Slot> Slots;
+  bool Pic = false;     ///< Payloads carry reloc masks.
+  bool Xip = false;     ///< The pool borrows the view's payload.
+  bool Linking = false; ///< Persisted links are restored.
+
+  const TraceIndexEntry &entry(uint32_t S) const {
+    return View->entry(Slots[S].TraceIndex);
+  }
+
+  /// Slot \p S's deferred-validation state. The reloc mask rides along
+  /// only when the body must be rebased; finalize() takes the mask it
+  /// re-emits from the view.
+  dbi::PersistedPayload payloadOf(uint32_t S) const {
+    dbi::PersistedPayload P;
+    P.ExpectedCodeCrc = entry(S).CodeCrc;
+    P.RebaseDelta = Slots[S].Delta;
+    if (P.RebaseDelta != 0)
+      P.RelocMask = View->readRelocMask(Slots[S].TraceIndex);
+    P.PlanSlot = S;
+    P.Xip = Xip;
+    return P;
+  }
+
+  /// Slot \p S's exits, rebased, with LinkPending set where the
+  /// persisted link is restored.
+  void exitsOf(const dbi::CodeCache &Cache, uint32_t S,
+               std::vector<dbi::TraceExit> &Out) const {
+    const uint32_t TraceIndex = Slots[S].TraceIndex;
+    const uint32_t NumExits = View->entry(TraceIndex).ExitCount;
+    const int64_t D = Slots[S].Delta;
+    Out.clear();
+    Out.reserve(NumExits);
+    for (uint32_t K = 0; K != NumExits; ++K) {
+      const ExitRecord Exit = View->exitRecord(TraceIndex, K);
+      const auto Kind = static_cast<ExitKind>(Exit.Kind);
+      uint32_t Target =
+          Exit.Target ? static_cast<uint32_t>(Exit.Target + D) : 0;
+      uint32_t Linked =
+          Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
+                           : 0;
+      Out.push_back(dbi::TraceExit{
+          Kind, Exit.InstIndex, Target,
+          restoresLink(Cache, Linking, Kind, Target, Linked), nullptr});
+    }
+  }
+
+  std::unique_ptr<TranslatedTrace> build(const dbi::CodeCache &Cache,
+                                         uint32_t S) const {
+    const TraceIndexEntry &E = entry(S);
+    std::vector<dbi::TraceExit> Exits;
+    exitsOf(Cache, S, Exits);
+    auto T = std::make_unique<TranslatedTrace>(
+        Slots[S].Start, E.GuestInstCount, Slots[S].PoolOffset, E.CodeSize,
+        std::move(Exits), /*FromPersistentCache=*/true);
+    T->setPersistedPayload(
+        std::make_unique<dbi::PersistedPayload>(payloadOf(S)));
+    T->setPersistedHeat(E.Heat);
+    T->setOptGen(E.OptGen);
+    return T;
+  }
+
+  /// True when an exit's persisted link to \p Linked is restored: the
+  /// exit is linkable, the link targets the exit's own target, and that
+  /// target was admitted. Decides LinksRestored at prime and each
+  /// pending mark at build, so the two always agree.
+  static bool restoresLink(const dbi::CodeCache &Cache, bool Linking,
+                           ExitKind Kind, uint32_t Target, uint32_t Linked) {
+    return Linking && Linked != 0 && Target == Linked &&
+           dbi::isLinkableExit(Kind) &&
+           Cache.slotOf(Linked) != dbi::CodeCache::NoSlot;
+  }
 };
 
 ErrorOr<StoredCache>
@@ -244,9 +328,10 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   Status S = installPlan(Engine, Plan, Result);
   if (!S.ok())
     return S;
-  // A borrowed pool has no decode work to offload; AsyncJobs stays
-  // empty and the queue is never created.
-  if (!AsyncJobs.empty())
+  // A borrowed pool has no decode work to offload: the queue is never
+  // created.
+  if (Admitted && !Admitted->Xip && !Admitted->Slots.empty() && Opts.Pool &&
+      Opts.Pool->workerCount() > 0)
     startAsyncPrime(Engine, Result);
   if (Opts.SharedResidency && Result.TracesInstalled != 0) {
     // One shared physical copy per (cache file, generation): every
@@ -354,58 +439,36 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   return Result;
 }
 
-namespace {
-
-/// Traces per install-queue job. Batching keeps the producer loop —
-/// which runs on the engine thread inside prime() — and the queue's
-/// bookkeeping off the run's critical path; a chunk is still small
-/// enough that losing a withdrawn chunk's background work is
-/// negligible.
-constexpr size_t PayloadChunkTraces = 64;
-
-} // namespace
-
 void PersistentSession::startAsyncPrime(dbi::Engine &Engine,
                                         PrimeResult &Result) {
   Queue = std::make_shared<dbi::TraceInstallQueue>();
-  // The jobs read only view bytes and their own payload copies — never
-  // engine memory — so a mid-run flush or eviction cannot race them.
-  // The view is guaranteed alive until wait()/destruction quiesces the
-  // queue.
-  const CacheFileView *View = &*LoadedView;
-  for (size_t Begin = 0; Begin < AsyncJobs.size();
-       Begin += PayloadChunkTraces) {
-    size_t End = std::min(Begin + PayloadChunkTraces, AsyncJobs.size());
-    auto Batch = std::make_shared<decltype(AsyncJobs)>(
-        std::make_move_iterator(AsyncJobs.begin() + Begin),
-        std::make_move_iterator(AsyncJobs.begin() + End));
-    std::vector<uint32_t> Starts;
-    Starts.reserve(Batch->size());
-    for (const auto &Job : *Batch)
-      Starts.push_back(Job.first);
-    Queue->addJob(std::move(Starts),
-                  [View, Batch]() -> std::vector<dbi::ReadyTrace> {
-                    std::vector<dbi::ReadyTrace> Out;
-                    Out.reserve(Batch->size());
-                    for (const auto &[Start, Payload] : *Batch) {
-                      uint32_t I = Payload.SourceTraceIndex;
-                      Out.push_back(dbi::validatePersistedPayload(
-                          Start, View->entry(I).GuestInstCount,
-                          View->codeBytesOf(I), View->entry(I).CodeSize,
-                          Payload));
-                    }
-                    return Out;
-                  });
+  // The jobs read only the view and the admitted plan — immutable and
+  // kept alive by the closures — never engine memory, so a mid-run
+  // flush or eviction cannot race them.
+  std::shared_ptr<const AdmittedPlan> Plan = Admitted;
+  const auto NumSlots = static_cast<uint32_t>(Plan->Slots.size());
+  for (uint32_t Begin = 0; Begin < NumSlots;
+       Begin += dbi::PayloadChunkSlots) {
+    const uint32_t End = std::min(Begin + dbi::PayloadChunkSlots, NumSlots);
+    Queue->addJob([Plan, Begin, End]() -> std::vector<dbi::ReadyTrace> {
+      std::vector<dbi::ReadyTrace> Out;
+      Out.reserve(End - Begin);
+      for (uint32_t S = Begin; S != End; ++S) {
+        const TraceIndexEntry &E = Plan->entry(S);
+        Out.push_back(dbi::validatePersistedPayload(
+            S, E.GuestInstCount,
+            Plan->View->codeBytesOf(Plan->Slots[S].TraceIndex), E.CodeSize,
+            Plan->payloadOf(S)));
+      }
+      return Out;
+    });
   }
-  AsyncJobs.clear();
   Result.PayloadJobsQueued = static_cast<uint32_t>(Queue->jobCount());
   Engine.setInstallQueue(Queue);
-  auto Q = Queue;
-  for (size_t W = 0; W != Opts.Pool->workerCount(); ++W)
-    Opts.Pool->submit([Q] {
-      while (Q->runNextJob()) {
-      }
-    });
+  Opts.Pool->submitPerWorker([Q = Queue] {
+    while (Q->runNextJob()) {
+    }
+  });
 }
 
 void PersistentSession::validateModules(
@@ -502,7 +565,7 @@ PersistentSession::planInstall(dbi::Engine &Engine,
           Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
                            : 0;
       P.Exits.push_back(dbi::TraceExit{static_cast<ExitKind>(Exit.Kind),
-                                       Exit.InstIndex, Target, nullptr});
+                                       Exit.InstIndex, Target});
       P.LinkedStarts.push_back(Linked);
     }
     if (BadExit) {
@@ -584,69 +647,45 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
       return S;
   }
 
-  const bool AsyncPrime =
-      !Borrow && Opts.Pool && Opts.Pool->workerCount() > 0;
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Plan.Traces.size());
-  LinkWork.reserve(Plan.Traces.size());
+  // Admission: each planned trace the data pool still has room for
+  // becomes a resident, unbuilt plan slot, in plan order. Its trace is
+  // built at the first lookup that needs it (AdmittedPlan::build).
+  auto Admit = std::make_shared<AdmittedPlan>();
+  Admit->View = LoadedView;
+  Admit->Pic = Opts.PositionIndependent;
+  Admit->Xip = Borrow;
+  Admit->Linking = Engine.options().EnableLinking;
+  Admit->Slots.reserve(Plan.Traces.size());
   Cache.reserveTraces(Plan.Traces.size());
-  if (AsyncPrime)
-    AsyncJobs.reserve(Plan.Traces.size());
   for (PlannedTrace &P : Plan.Traces) {
-    auto Payload = std::make_unique<dbi::PersistedPayload>();
-    Payload->ExpectedCodeCrc = View.entry(P.TraceIndex).CodeCrc;
-    Payload->RebaseDelta = P.Delta;
-    // A borrowed body never rebases (delta zero), but finalize()
-    // re-emits an unexecuted trace's reloc mask with the record it
-    // carries forward.
-    if (Opts.PositionIndependent)
-      Payload->RelocMask = View.readRelocMask(P.TraceIndex);
-    Payload->SourceTraceIndex = P.TraceIndex;
-    Payload->Xip = Borrow;
-    auto T = std::make_unique<TranslatedTrace>(
-        P.Start, P.GuestInstCount, P.PoolOffset, P.CodeSize,
-        std::move(P.Exits), /*FromPersistentCache=*/true);
-    T->setPersistedPayload(std::move(Payload));
-    T->setPersistedHeat(P.Heat);
-    T->setOptGen(P.OptGen);
-    auto Added = Cache.addTrace(std::move(T));
-    if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation
-      // (both strategies hit the identical limit at the identical
-      // trace, so parity holds).
+    if (!Cache.admitSlot(P.Start, TranslatedTrace::dataBytesFor(
+                                      static_cast<uint32_t>(P.Exits.size()),
+                                      P.GuestInstCount))) {
+      // Data pool exhausted: this trace falls back to translation (both
+      // pool strategies hit the identical limit at the identical trace,
+      // so parity holds), and none of its links is restored.
       ++Result.TracesSkipped;
+      P.LinkedStarts.clear();
       continue;
     }
     if (Opts.CheckCertificates && P.OptGen > 0)
       PrimedCerts.emplace(P.Start, std::move(P.Cert));
-    if (AsyncPrime)
-      AsyncJobs.emplace_back(P.Start, *(*Added)->persistedPayload());
-    ByStart.emplace(P.Start, *Added);
-    LinkWork.emplace_back(*Added, std::move(P.LinkedStarts));
+    Admit->Slots.push_back({P.TraceIndex, P.Start, P.PoolOffset, P.Delta});
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
+  Cache.sealPlan([Admit](const dbi::CodeCache &C, uint32_t Slot) {
+    return Admit->build(C, Slot);
+  });
 
-  // Restore persisted trace links between installed traces.
-  if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
-          continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
-        if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
-          continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
-          continue;
-        Cache.link(T, I, It->second);
+  // Count the persisted links between admitted traces; each is restored
+  // as a pending mark when its source trace is built.
+  for (const PlannedTrace &P : Plan.Traces)
+    for (size_t I = 0; I != P.LinkedStarts.size(); ++I)
+      if (AdmittedPlan::restoresLink(Cache, Admit->Linking, P.Exits[I].Kind,
+                                     P.Exits[I].Target, P.LinkedStarts[I]))
         ++Result.LinksRestored;
-      }
-    }
-  }
+  Admitted = std::move(Admit);
   Result.XipInstalled = Borrow;
   return Status::success();
 }
@@ -1049,47 +1088,83 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     Rec.Cert.assign(CertData, CertData + CertSize);
   };
 
-  for (const auto &T : Cache.traces()) {
+  // The record fields every resident trace shares. Heat accumulates
+  // across the runs that carried the trace: what the cache file brought
+  // in plus this run's executions. The optimization generation travels
+  // with the trace: a promoted body that executed this run is written
+  // back at its generation. A pending persisted link is written as the
+  // link it stands for.
+  auto recordOf = [&](uint32_t Start, int ModIndex, uint32_t InstCount,
+                      uint32_t Heat, uint32_t OptGen, uint32_t PoolOffset,
+                      uint32_t PoolBytes,
+                      std::span<const dbi::TraceExit> Exits) {
+    TraceRecord Rec;
+    Rec.GuestStart = Start;
+    Rec.ModuleIndex = static_cast<uint32_t>(ModIndex);
+    Rec.GuestInstCount = InstCount;
+    Rec.Heat = Heat;
+    Rec.OptGen = OptGen;
+    const uint8_t *Code = Cache.codeAt(PoolOffset);
+    Rec.Code.assign(Code, Code + PoolBytes);
+    Rec.Exits.reserve(Exits.size());
+    for (const dbi::TraceExit &Exit : Exits)
+      Rec.Exits.push_back(ExitRecord{
+          static_cast<uint8_t>(Exit.Kind), Exit.InstIndex, Exit.Target,
+          Exit.Link          ? Exit.Link->guestStart()
+          : Exit.LinkPending ? Exit.Target
+                             : 0});
+    return Rec;
+  };
+  // Admitted and never executed: the pool still holds the raw stored
+  // bytes, whose CRC was never checked. Verify now so a damaged payload
+  // is dropped (and retranslated by whichever run needs it) rather than
+  // re-signed under a fresh checksum; rebase the written copy so the
+  // file's bytes match the current base.
+  auto writeUnexecuted = [&](TraceRecord &Rec,
+                             const dbi::PersistedPayload &P) {
+    if (crc32(Rec.Code.data(), Rec.Code.size()) != P.ExpectedCodeCrc)
+      return;
+    dbi::rebaseTranslatedImage(Rec.Code.data(), Rec.Code.size(),
+                               Rec.GuestInstCount, P.RelocMask,
+                               P.RebaseDelta);
+    if (Opts.PositionIndependent)
+      Rec.RelocMask =
+          LoadedView->readRelocMask(Admitted->Slots[P.PlanSlot].TraceIndex);
+    reattachCert(Rec);
+    if (semanticallyValid(Rec))
+      File.Traces.push_back(std::move(Rec));
+  };
+
+  std::vector<dbi::TraceExit> SlotExits;
+  for (uint32_t Index = 0; Index != Cache.traces().size(); ++Index) {
+    const TranslatedTrace *T = Cache.traces()[Index].get();
+    if (!T) {
+      // An unbuilt plan slot is written exactly like a built trace that
+      // never executed, straight from the plan.
+      const AdmittedPlan::Slot &S = Admitted->Slots[Index];
+      int ModIndex = moduleIndexFor(S.Start);
+      if (ModIndex < 0)
+        continue;
+      const TraceIndexEntry &E = Admitted->entry(Index);
+      Admitted->exitsOf(Cache, Index, SlotExits);
+      TraceRecord Rec = recordOf(S.Start, ModIndex, E.GuestInstCount, E.Heat,
+                                 E.OptGen, S.PoolOffset, E.CodeSize,
+                                 SlotExits);
+      writeUnexecuted(Rec, Admitted->payloadOf(Index));
+      continue;
+    }
     int ModIndex = moduleIndexFor(T->guestStart());
     if (ModIndex < 0)
       continue; // Not backed by a file on disk: never persisted.
-    TraceRecord Rec;
-    Rec.GuestStart = T->guestStart();
-    Rec.ModuleIndex = static_cast<uint32_t>(ModIndex);
-    Rec.GuestInstCount = T->guestInstCount();
-    // Heat accumulates across the runs that carried this trace: what
-    // the cache file brought in plus this run's executions.
-    Rec.Heat = accumulatedHeat(T->persistedHeat(), T->executionCount());
-    // The optimization generation travels with the trace: a promoted
-    // body that executed this run is written back at its generation.
-    Rec.OptGen = T->optGen();
-    const uint8_t *Code = Cache.codeAt(T->poolOffset());
-    Rec.Code.assign(Code, Code + T->poolBytes());
-    Rec.Exits.reserve(T->exits().size());
-    for (const dbi::TraceExit &Exit : T->exits())
-      Rec.Exits.push_back(ExitRecord{
-          static_cast<uint8_t>(Exit.Kind), Exit.InstIndex, Exit.Target,
-          Exit.Link ? Exit.Link->guestStart() : 0});
-
+    TraceRecord Rec = recordOf(
+        T->guestStart(), ModIndex, T->guestInstCount(),
+        accumulatedHeat(T->persistedHeat(), T->executionCount()),
+        T->optGen(), T->poolOffset(), T->poolBytes(), T->exits());
     if (const dbi::PersistedPayload *P = T->persistedPayload()) {
-      // Installed lazily and never executed: the pool still holds the
-      // raw stored bytes, whose CRC was never checked. Verify now so a
-      // damaged payload is dropped (and retranslated by whichever run
-      // needs it) rather than re-signed under a fresh checksum; rebase
-      // the written copy so the file's bytes match the current base.
-      if (crc32(Rec.Code.data(), Rec.Code.size()) != P->ExpectedCodeCrc)
-        continue;
-      dbi::rebaseTranslatedImage(Rec.Code.data(), Rec.Code.size(),
-                                 Rec.GuestInstCount, P->RelocMask,
-                                 P->RebaseDelta);
-      if (Opts.PositionIndependent)
-        Rec.RelocMask = P->RelocMask;
-      reattachCert(Rec);
-      if (!semanticallyValid(Rec))
-        continue;
-      File.Traces.push_back(std::move(Rec));
+      writeUnexecuted(Rec, *P);
       continue;
     }
+    const uint8_t *Code = Cache.codeAt(T->poolOffset());
 
     if (Opts.PositionIndependent) {
       // Mark every address-bearing immediate: branch/call targets plus

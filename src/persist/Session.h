@@ -14,9 +14,11 @@
 ///
 ///   prime()    — before run(): locate a cache by key (or donor path),
 ///                validate every module key against the loaded image,
-///                install valid traces (unmaterialized, demand-paged)
-///                and restore persisted trace links; invalid modules'
-///                traces are dropped for retranslation.
+///                and admit valid traces as unbuilt code-cache slots
+///                (built on first lookup, with their persisted links;
+///                materialized on first execution, demand-paged);
+///                invalid modules' traces are dropped for
+///                retranslation.
 ///   finalize() — after run(): write the resident traces back to the
 ///                database, accumulating newly discovered translations
 ///                into the persistent cache (Section 4.4) and carrying
@@ -236,16 +238,21 @@ private:
                        std::vector<std::pair<uint32_t, uint32_t>> &Region);
   struct PlannedTrace;
   struct InstallPlan;
+  struct AdmittedPlan;
   /// The one walk of \p View's trace index: validates the module keys,
   /// then applies the usability and exit-kind checks, translates each
   /// usable entry by its module's load delta, and picks up certificates,
   /// heat and optimization generations.
   InstallPlan planInstall(dbi::Engine &Engine, const CacheFileView &View,
                           PrimeResult &Result);
-  /// Installs \p Plan into the engine's code cache from LoadedView.
-  /// Traces enter as unmaterialized index references whose CRC + decode
-  /// (and PIC rebase) are deferred to Engine::ensureMaterialized(). The
-  /// pool is either *borrowed* — the code cache executes the view's
+  /// Admits \p Plan into the engine's code cache from LoadedView. Each
+  /// trace the data pool has room for becomes a resident, unbuilt plan
+  /// slot, in plan order; its trace is built on the first lookup that
+  /// needs it, its persisted links restored then as pending marks, and
+  /// its CRC + decode (and PIC rebase) deferred further, to
+  /// Engine::ensureMaterialized() at first execution. Every count in
+  /// \p Result (installed, skipped, links restored) is decided here.
+  /// The pool is either *borrowed* — the code cache executes the view's
   /// page-aligned v3 payload in place at each trace's file code offset,
   /// zero bytes copied, zero decode work queued — or *copied* into a
   /// packed private pool when the file, session or host does not
@@ -255,17 +262,19 @@ private:
   Status installPlan(dbi::Engine &Engine, InstallPlan &Plan,
                      PrimeResult &Result);
 
-  /// Hands the deferred payload jobs recorded by installPlan() to the
+  /// Hands one payload job per chunk of Admitted's plan slots to the
   /// worker pool and attaches the install queue to \p Engine.
   void startAsyncPrime(dbi::Engine &Engine, PrimeResult &Result);
 
   const CacheDatabase &Db;
   PersistOptions Opts;
 
-  /// Deferred payload jobs recorded by installPlan(): each trace's
-  /// rebased start and a copy of its persisted payload, which outlives
-  /// the trace if a flush drops it before a worker runs.
-  std::vector<std::pair<uint32_t, dbi::PersistedPayload>> AsyncJobs;
+  /// The plan installPlan() admitted (null when nothing was): per plan
+  /// slot, the view entry, rebased start, pool offset and load delta.
+  /// The code cache's slot builder and the async payload jobs share it
+  /// and read nothing else, so a job never touches a code-cache slot;
+  /// finalize() writes unbuilt slots from it.
+  std::shared_ptr<const AdmittedPlan> Admitted;
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
 
@@ -275,12 +284,13 @@ private:
   std::shared_ptr<CacheFileView> LoadedView;
   std::vector<bool> ModuleValidated; ///< Per LoadedView module.
   std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
-  /// Promoted traces installed by prime(), keyed by their (rebased)
+  /// Promoted traces admitted by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
   /// in with the record, or empty when none is usable (rebase delta,
-  /// or a pre-certificate file). Consumed by the materialize-check
-  /// hook, which certificate-checks the former and re-proves the
-  /// latter in full.
+  /// or a pre-certificate file). Decided at admission, whether or not
+  /// the trace is ever built; consumed by the materialize-check hook,
+  /// which certificate-checks the former and re-proves the latter in
+  /// full.
   std::unordered_map<uint32_t, std::vector<uint8_t>> PrimedCerts;
   bool LoadedWasOwn = false; ///< Cache came from this app's own slot.
   uint64_t LookupKey = 0;

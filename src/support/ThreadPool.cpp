@@ -104,6 +104,18 @@ void ThreadPool::submit(std::function<void()> Task) {
   WorkAvailable.notify_one();
 }
 
+void ThreadPool::submitPerWorker(const std::function<void()> &Task) {
+  if (Threads.empty()) {
+    Task();
+    return;
+  }
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Queue.insert(Queue.end(), Threads.size(), Task);
+  }
+  WorkAvailable.notify_all();
+}
+
 void ThreadPool::waitAll() {
   std::unique_lock<std::mutex> Lock(Mutex);
   Idle.wait(Lock, [this] { return Queue.empty() && Running == 0; });

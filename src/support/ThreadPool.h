@@ -74,6 +74,13 @@ public:
   /// Enqueues \p Task. With zero workers, runs it before returning.
   void submit(std::function<void()> Task);
 
+  /// Enqueues one copy of \p Task per worker under a single lock, then
+  /// wakes them all, so the caller never waits for the queue lock behind
+  /// a worker that is just waking up (a background-priority one may not
+  /// run again for a while). With zero workers, runs it once before
+  /// returning.
+  void submitPerWorker(const std::function<void()> &Task);
+
   /// Blocks until the queue is empty and no worker is mid-task. Tasks
   /// submitted by other threads while waiting extend the wait.
   void waitAll();

@@ -150,7 +150,7 @@ TEST(CodeCache, FlushDiscardsEverything) {
 TEST(CodeCache, LinkAndRemoveRangeUnlinks) {
   CodeCache Cache(1 << 20, 1 << 20);
   std::vector<TraceExit> ExitsA = {
-      TraceExit{ExitKind::Direct, 0, 0x2000, nullptr}};
+      TraceExit{ExitKind::Direct, 0, 0x2000}};
   auto A = Cache.addTrace(std::make_unique<TranslatedTrace>(
       0x1000, 1, 0, 0, ExitsA, false));
   auto B = Cache.addTrace(std::make_unique<TranslatedTrace>(
@@ -170,7 +170,7 @@ TEST(CodeCache, LinkAndRemoveRangeUnlinks) {
 TEST(CodeCache, RemoveRangeDropsOutgoingIncomingEdges) {
   CodeCache Cache(1 << 20, 1 << 20);
   std::vector<TraceExit> ExitsA = {
-      TraceExit{ExitKind::Direct, 0, 0x2000, nullptr}};
+      TraceExit{ExitKind::Direct, 0, 0x2000}};
   auto A = Cache.addTrace(std::make_unique<TranslatedTrace>(
       0x1000, 1, 0, 0, ExitsA, false));
   auto B = Cache.addTrace(std::make_unique<TranslatedTrace>(
@@ -435,11 +435,11 @@ TEST(CodeCache, EvictOldestCompactsPool) {
 TEST(CodeCache, EvictOldestUnlinksAcrossTheCut) {
   CodeCache Cache(1 << 20, 1 << 20);
   std::vector<TraceExit> ExitsOld = {
-      TraceExit{ExitKind::Direct, 0, 0x2000, nullptr}};
+      TraceExit{ExitKind::Direct, 0, 0x2000}};
   auto Old = Cache.addTrace(std::make_unique<TranslatedTrace>(
       0x1000, 1, 0, 0, ExitsOld, false));
   std::vector<TraceExit> ExitsNew = {
-      TraceExit{ExitKind::Direct, 0, 0x1000, nullptr}};
+      TraceExit{ExitKind::Direct, 0, 0x1000}};
   auto New = Cache.addTrace(std::make_unique<TranslatedTrace>(
       0x2000, 1, 0, 0, ExitsNew, false));
   ASSERT_TRUE(Old.ok() && New.ok());

@@ -171,17 +171,17 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
 
 namespace {
 
-dbi::ReadyTrace makeReady(uint32_t Start) {
+dbi::ReadyTrace makeReady(uint32_t Slot) {
   dbi::ReadyTrace R;
-  R.GuestStart = Start;
+  R.Slot = Slot;
   R.CrcOk = true;
   return R;
 }
 
-std::vector<dbi::ReadyTrace> makeReadyChunk(std::vector<uint32_t> Starts) {
+std::vector<dbi::ReadyTrace> makeReadyChunk(std::vector<uint32_t> Slots) {
   std::vector<dbi::ReadyTrace> Out;
-  for (uint32_t Start : Starts)
-    Out.push_back(makeReady(Start));
+  for (uint32_t Slot : Slots)
+    Out.push_back(makeReady(Slot));
   return Out;
 }
 
@@ -190,58 +190,58 @@ std::vector<dbi::ReadyTrace> makeReadyChunk(std::vector<uint32_t> Starts) {
 TEST(TraceInstallQueue, TakeForWithdrawsUnclaimedJobs) {
   dbi::TraceInstallQueue Q;
   std::atomic<int> Ran{0};
-  Q.addJob({0x100}, [&Ran] {
+  Q.addJob([&Ran] {
     Ran.fetch_add(1);
-    return makeReadyChunk({0x100});
+    return makeReadyChunk({0});
   });
   // Unclaimed: the engine withdraws the job and validates inline — the
   // job function must never run afterwards.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
+  EXPECT_TRUE(Q.takeFor(0).empty());
   EXPECT_FALSE(Q.runNextJob());
   EXPECT_EQ(Ran.load(), 0);
   // And the result slot stays consumed.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
+  EXPECT_TRUE(Q.takeFor(0).empty());
 }
 
 TEST(TraceInstallQueue, TakeForReturnsPublishedResultOnce) {
   dbi::TraceInstallQueue Q;
-  Q.addJob({0x100}, [] { return makeReadyChunk({0x100}); });
+  Q.addJob([] { return makeReadyChunk({0}); });
   EXPECT_TRUE(Q.runNextJob());
-  auto R = Q.takeFor(0x100);
+  auto R = Q.takeFor(0);
   ASSERT_EQ(R.size(), 1u);
-  EXPECT_EQ(R[0].GuestStart, 0x100u);
+  EXPECT_EQ(R[0].Slot, 0u);
   EXPECT_TRUE(R[0].CrcOk);
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  EXPECT_TRUE(Q.takeFor(0x999).empty()); // Never existed.
+  EXPECT_TRUE(Q.takeFor(0).empty());
+  // Never existed: past the last job's chunk.
+  EXPECT_TRUE(Q.takeFor(dbi::PayloadChunkSlots).empty());
 }
 
 TEST(TraceInstallQueue, TakeForReturnsWholeChunkForAnyMember) {
   dbi::TraceInstallQueue Q;
-  Q.addJob({0x100, 0x200, 0x300},
-           [] { return makeReadyChunk({0x100, 0x200, 0x300}); });
+  Q.addJob([] { return makeReadyChunk({0, 1, 2}); });
   EXPECT_EQ(Q.jobCount(), 1u);
   EXPECT_TRUE(Q.runNextJob());
   // Asking for any chunk member hands over the whole published chunk —
   // the engine stashes the mates for their own first executions.
-  auto R = Q.takeFor(0x200);
+  auto R = Q.takeFor(1);
   ASSERT_EQ(R.size(), 3u);
-  EXPECT_EQ(R[0].GuestStart, 0x100u);
-  EXPECT_EQ(R[1].GuestStart, 0x200u);
-  EXPECT_EQ(R[2].GuestStart, 0x300u);
+  EXPECT_EQ(R[0].Slot, 0u);
+  EXPECT_EQ(R[1].Slot, 1u);
+  EXPECT_EQ(R[2].Slot, 2u);
   // The chunk is consumed as a unit.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  EXPECT_TRUE(Q.takeFor(0x300).empty());
+  EXPECT_TRUE(Q.takeFor(0).empty());
+  EXPECT_TRUE(Q.takeFor(2).empty());
 }
 
 TEST(TraceInstallQueue, TakeForNeverBlocksOnAnInFlightJob) {
   dbi::TraceInstallQueue Q;
   std::atomic<bool> Entered{false};
   std::atomic<bool> Release{false};
-  Q.addJob({0x100}, [&Entered, &Release] {
+  Q.addJob([&Entered, &Release] {
     Entered.store(true);
     while (!Release.load())
       std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return makeReadyChunk({0x100});
+    return makeReadyChunk({0});
   });
   std::thread Worker([&Q] { Q.runNextJob(); });
   while (!Entered.load())
@@ -249,30 +249,30 @@ TEST(TraceInstallQueue, TakeForNeverBlocksOnAnInFlightJob) {
   // The job is claimed and its worker deliberately stuck: takeFor must
   // return empty instead of waiting (the engine validates inline; a
   // background-priority worker must never be able to stall the run).
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
+  EXPECT_TRUE(Q.takeFor(0).empty());
   Release.store(true);
   Worker.join();
   // The late result still publishes; a chunk-mate's first execution
-  // would take it, and the entry of the already-materialized trace is
-  // never consumed.
-  auto Ready = Q.takeFor(0x100);
+  // would take it, and the engine drops the entry of the
+  // already-materialized trace.
+  auto Ready = Q.takeFor(0);
   ASSERT_EQ(Ready.size(), 1u);
-  EXPECT_EQ(Ready[0].GuestStart, 0x100u);
+  EXPECT_EQ(Ready[0].Slot, 0u);
 }
 
 TEST(TraceInstallQueue, CancelPendingStopsWorkersAndQuiesces) {
   dbi::TraceInstallQueue Q;
   std::atomic<int> Ran{0};
-  for (uint32_t Start = 0; Start < 8; ++Start)
-    Q.addJob({0x100 + Start}, [&Ran, Start] {
+  for (uint32_t Job = 0; Job < 8; ++Job)
+    Q.addJob([&Ran, Job] {
       Ran.fetch_add(1);
-      return makeReadyChunk({0x100 + Start});
+      return makeReadyChunk({Job * dbi::PayloadChunkSlots});
     });
   Q.cancelPending();
   EXPECT_FALSE(Q.runNextJob());
   Q.waitInFlight(); // Nothing in flight: returns immediately.
   EXPECT_EQ(Ran.load(), 0);
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
+  EXPECT_TRUE(Q.takeFor(0).empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -459,6 +459,115 @@ TEST(AsyncPrime, BadPayloadsDropIdenticallyAcrossWorkerCounts) {
     EXPECT_TRUE(Runs[0].Run.observablyEquals(Runs[1].Run)) << Label;
     expectStatsEqual(Runs[0].Stats, Runs[1].Stats, Label);
   }
+}
+
+namespace {
+
+/// A warm run plus what the engine still holds for unexecuted traces.
+struct HandQueueRun {
+  vm::RunResult Run;
+  dbi::EngineStats Stats;
+  dbi::ScheduleStats Sched;
+  size_t Retained = 0; ///< Published results held for chunk-mates.
+  size_t Awaiting = 0; ///< Plan slots never materialized.
+};
+
+/// A warm run of \p W over \p Input from \p Db. With \p UseQueue, one
+/// hand-driven job covers the whole plan and is claimed by a worker that
+/// stays in flight until the first materialization, which then waits
+/// for the publish: the first persisted trace validates inline while
+/// its chunk is Claimed, and the next first execution takes the
+/// published chunk, the first trace's result included.
+HandQueueRun runClaimedThenPublished(const TinyWorkload &W,
+                                     const std::vector<uint8_t> &Input,
+                                     const CacheDatabase &Db,
+                                     bool UseQueue) {
+  HandQueueRun Out;
+  auto M = workloads::makeMachine(W.Registry, W.App, Input);
+  EXPECT_TRUE(M.ok());
+  dbi::Engine Engine(*M, nullptr);
+  PersistOptions Opts;
+  Opts.WriteBack = false;
+  PersistentSession Session(Db, Opts);
+  auto Prime = Session.prime(Engine);
+  EXPECT_TRUE(Prime.ok() && Prime->CacheFound);
+  dbi::CodeCache &Cache = Engine.cache();
+  const uint32_t Slots = Cache.planSlots();
+  EXPECT_GT(Slots, 2u);
+  EXPECT_LE(Slots, dbi::PayloadChunkSlots) << "the job covers one chunk";
+  // The job's results, computed up front from the built slots (building
+  // charges nothing).
+  Cache.completeDeferredInstalls();
+  std::vector<dbi::ReadyTrace> Results;
+  for (uint32_t S = 0; S != Slots; ++S) {
+    const dbi::TranslatedTrace *T = Cache.traces()[S].get();
+    Results.push_back(dbi::validatePersistedPayload(
+        S, T->guestInstCount(), Cache.codeAt(T->poolOffset()),
+        T->poolBytes(), *T->persistedPayload()));
+  }
+  auto Q = std::make_shared<dbi::TraceInstallQueue>();
+  std::atomic<bool> Entered{false};
+  std::atomic<bool> Release{false};
+  std::thread Worker;
+  if (UseQueue) {
+    Q->addJob([&Entered, &Release, &Results] {
+      Entered.store(true);
+      while (!Release.load())
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return Results;
+    });
+    Worker = std::thread([Q] { Q->runNextJob(); });
+    while (!Entered.load())
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    Engine.setInstallQueue(Q);
+  }
+  bool Released = !UseQueue;
+  Engine.setMaterializeValidator(
+      [&Released, &Release, Q](uint32_t, const std::vector<isa::Instruction> &,
+                               dbi::Engine::MaterializeCheckInfo &) {
+        if (!Released) {
+          Released = true;
+          Release.store(true);
+          Q->waitInFlight();
+        }
+        return Status::success();
+      });
+  Out.Run = Engine.run();
+  if (Worker.joinable())
+    Worker.join();
+  Out.Stats = Engine.stats();
+  Out.Sched = Q->scheduleStats();
+  Out.Retained = Engine.prevalidatedResults();
+  for (uint32_t S = 0; S != Slots; ++S)
+    Out.Awaiting += !Cache.traces()[S]->isMaterialized();
+  return Out;
+}
+
+} // namespace
+
+TEST(AsyncPrime, ClaimedThenPublishedChunkKeepsNoStaleResults) {
+  TinyWorkload W = makeTinyWorkload(6, 3);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  ASSERT_TRUE(
+      workloads::runPersistent(W.Registry, W.App, W.allSlotsInput(2), Db)
+          .ok());
+  // The warm run reaches only some of the persisted traces.
+  const std::vector<uint8_t> Input =
+      W.input({{0, 2}, {4, 1}, {7, 1}});
+
+  HandQueueRun Inline = runClaimedThenPublished(W, Input, Db, false);
+  HandQueueRun Queued = runClaimedThenPublished(W, Input, Db, true);
+  EXPECT_EQ(Queued.Sched.ChunksInFlightSkipped, 1u);
+  EXPECT_EQ(Queued.Sched.ChunksPublished, 1u);
+  // The taken chunk carried the result of the trace materialized while
+  // it was in flight; only results of slots still awaiting their first
+  // execution may stay behind.
+  EXPECT_GT(Queued.Awaiting, 0u);
+  EXPECT_EQ(Queued.Retained, Queued.Awaiting);
+  EXPECT_EQ(Inline.Retained, 0u);
+  EXPECT_TRUE(Inline.Run.observablyEquals(Queued.Run));
+  expectStatsEqual(Inline.Stats, Queued.Stats, "claimed then published");
 }
 
 //===----------------------------------------------------------------------===//
