@@ -32,10 +32,14 @@
 #                                    clang-tidy is present
 #   scripts/check.sh --certs         certificate soak: runs the
 #                                    cert_test binary repeatedly under
-#                                    ASan and then TSan, grows a
-#                                    certified store under an injected
-#                                    fault storm (certificate-section
-#                                    writes failing and retrying), and
+#                                    ASan, then UBSan, then TSan, grows
+#                                    a certified store under an
+#                                    injected fault storm (certificate-
+#                                    section writes failing and
+#                                    retrying), re-verifies it in one
+#                                    warm --opt-tier --validate run
+#                                    (finalize re-checks every
+#                                    certificate it writes back), and
 #                                    holds the survivor to the full
 #                                    proof contract with pcc-dbcheck
 #                                    (plain certificate replay, then
@@ -315,7 +319,9 @@ if [ "${1:-}" = "--certs" ]; then
   shift
   ITERS="${1:-2}"
   [ $# -gt 0 ] && shift
-  for SAN in address thread; do
+  # UBSan reports would otherwise print and carry on.
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  for SAN in address undefined thread; do
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target cert_test --target pccrun \
@@ -327,7 +333,9 @@ if [ "${1:-}" = "--certs" ]; then
       I=$((I + 1))
     done
     # Fault-injected certificate writes: grow a certified store while
-    # publishes keep failing and retrying, then hold whatever survived
+    # publishes keep failing and retrying, re-verify it in one warm
+    # --validate run (prime checks each certificate it executes,
+    # finalize each one it writes back), then hold whatever survived
     # to the full proof contract — plain dbcheck replays every
     # persisted certificate self-contained, --deep re-binds each one
     # to the real module text (and re-proves anything certificateless).
@@ -337,12 +345,14 @@ if [ "${1:-}" = "--certs" ]; then
       "$SOAK/tools/pccrun" --mode persist --db "$TMP/db" --opt-tier \
         --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" "$TMP/fib.mod"
     done
+    "$SOAK/tools/pccrun" --mode persist --db "$TMP/db" --opt-tier \
+      --validate "$TMP/fib.mod"
     "$SOAK/tools/pcc-dbstat" "$TMP/db" --gens
     "$SOAK/tools/pcc-dbcheck" "$TMP/db"
     "$SOAK/tools/pcc-dbcheck" "$TMP/db" --deep --module "$TMP/fib.mod"
     rm -rf "$TMP"
   done
-  echo "certificate soak passed: $ITERS iteration(s) each under ASan and TSan"
+  echo "certificate soak passed: $ITERS iteration(s) each under ASan, UBSan and TSan"
   exit 0
 fi
 

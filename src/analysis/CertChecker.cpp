@@ -6,6 +6,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 using namespace pcc;
@@ -150,16 +151,34 @@ const char *pcc::analysis::certCheckStatusName(CertCheckStatus S) {
   return "?";
 }
 
-CertCheckResult pcc::analysis::checkCertificate(
-    const Certificate &C, uint32_t GuestStart,
-    const std::vector<Instruction> &Body,
-    const std::vector<Instruction> *ExpectedSource) {
-  // The in-place blob check is the single trusted implementation;
-  // round-trip through the canonical serialization so both entry
-  // points verify identical obligations.
-  const std::vector<uint8_t> Blob = C.serialize();
-  return checkCertificateBlob(Blob.data(), Blob.size(), GuestStart, Body,
-                              ExpectedSource);
+std::string CertCheckResult::describe() const {
+  std::string Out = certCheckStatusName(Status);
+  if (!Detail.empty())
+    Out += ": " + Detail;
+  return Out;
+}
+
+TranslationVerdict pcc::analysis::checkTranslation(const TranslationCheck &C) {
+  assert(C.Body && "checkTranslation needs the decoded body");
+  TranslationVerdict V;
+  if (!C.Cert.empty()) {
+    V.CertChecked = true;
+    V.Cert = checkCertificateBlob(C.Cert.data(), C.Cert.size(), C.GuestStart,
+                                  *C.Body, C.Source, &C.Bind);
+    if (V.Cert.ok()) {
+      V.Equivalent = true;
+      return V;
+    }
+    V.CertRejected = true;
+  }
+  if (!C.ProveOnFallback)
+    return V;
+  assert(C.Source && "the prover needs the guest source");
+  V.ProverRan = true;
+  V.Proof =
+      validateTranslation(C.GuestStart, *C.Source, *C.Body, C.FreshProof);
+  V.Equivalent = V.Proof.Equivalent;
+  return V;
 }
 
 CertCheckResult pcc::analysis::checkCertificateBlob(

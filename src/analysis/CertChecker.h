@@ -36,8 +36,10 @@
 #define PCC_ANALYSIS_CERTCHECKER_H
 
 #include "analysis/Certificate.h"
+#include "analysis/Validator.h"
 #include "isa/Instruction.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,8 @@ struct CertCheckResult {
   std::string Detail;
 
   bool ok() const { return Status == CertCheckStatus::Ok; }
+  /// "<status name>" or "<status name>: <detail>".
+  std::string describe() const;
 };
 
 /// Optional raw-byte bindings for at-rest checks (dbcheck, L2 fills,
@@ -86,27 +90,28 @@ struct CertBindings {
   /// memcmp against the embedded source instead of decode + compare.
   const uint8_t *SourceBytes = nullptr;
   size_t SourceByteCount = 0;
+
+  /// Binds \p InstCount stored body encodings at \p Bytes.
+  static CertBindings ofBody(const uint8_t *Bytes, uint32_t InstCount) {
+    CertBindings B;
+    B.BodyBytes = Bytes;
+    B.BodyByteCount = static_cast<size_t>(InstCount) * isa::InstructionSize;
+    return B;
+  }
 };
 
-/// Checks that \p C proves \p Body (the decoded gen-N instructions of a
-/// trace at guest address \p GuestStart) equivalent to the certificate's
-/// embedded source. When \p ExpectedSource is provided (prime with the
+/// Structurally validates the certificate blob \p Data/\p Size
+/// (returning Malformed on damage) and checks that it proves \p Body
+/// (the decoded gen-N instructions of a trace at guest address
+/// \p GuestStart) equivalent to the certificate's embedded source,
+/// consuming the blob's sections in place — no Certificate is
+/// materialized. When \p ExpectedSource is provided (prime with the
 /// module mapped, dbcheck --deep), the embedded source must equal it,
 /// binding the proof to the real guest bytes; when null (L2 fills,
 /// module-less checks), the embedded source is still covered by SrcCrc,
 /// and the check establishes body-vs-embedded-source equivalence.
-CertCheckResult
-checkCertificate(const Certificate &C, uint32_t GuestStart,
-                 const std::vector<isa::Instruction> &Body,
-                 const std::vector<isa::Instruction> *ExpectedSource =
-                     nullptr);
-
-/// Structurally validates \p Data/\p Size (returning Malformed on
-/// damage) and checks it against \p Body as checkCertificate, consuming
-/// the blob's sections in place — this is the hot path primed installs
-/// and store fills pay, so it materializes no Certificate. \p Bind, when
-/// provided, supplies the caller's raw at-rest encodings (see
-/// CertBindings) so the binding CRCs run over existing bytes. When
+/// \p Bind, when provided, supplies the caller's raw at-rest encodings
+/// (see CertBindings) so the binding CRCs run over existing bytes. When
 /// Bind->SourceBytes and \p ExpectedSource are both given they must
 /// describe the same instructions (ExpectedSource == decodeAll of
 /// SourceBytes); the checker then verifies the embedded source by
@@ -116,6 +121,51 @@ CertCheckResult checkCertificateBlob(
     const std::vector<isa::Instruction> &Body,
     const std::vector<isa::Instruction> *ExpectedSource = nullptr,
     const CertBindings *Bind = nullptr);
+
+/// One verification of a translated body, as every consumer of
+/// persisted translations asks for it: check the certificate (when one
+/// is given), and fall back to the full prover when it is missing or
+/// rejected (when asked to).
+struct TranslationCheck {
+  uint32_t GuestStart = 0;
+  /// The decoded body. Required.
+  const std::vector<isa::Instruction> *Body = nullptr;
+  /// The guest instructions the body claims to translate. Null: the
+  /// certificate is checked against its own embedded source, and the
+  /// prover cannot run.
+  const std::vector<isa::Instruction> *Source = nullptr;
+  /// The body's stored encodings (see CertBindings); empty when the
+  /// body was not decoded from them unchanged.
+  CertBindings Bind = {};
+  /// Certificate blob; empty when there is none.
+  std::span<const uint8_t> Cert = {};
+  /// Run the prover when the certificate is missing or rejected.
+  /// Requires Source.
+  bool ProveOnFallback = false;
+  /// When the prover runs and proves the body, its proof is emitted
+  /// here (the caller fills Certificate::OptGen).
+  Certificate *FreshProof = nullptr;
+};
+
+/// What checkTranslation did. Callers map it onto their own counters
+/// and dispositions.
+struct TranslationVerdict {
+  bool CertChecked = false;  ///< A certificate was checked...
+  bool CertRejected = false; ///< ...and rejected, for Cert's reason.
+  CertCheckResult Cert;
+  bool ProverRan = false; ///< The prover ran; Proof is its result.
+  ValidationResult Proof;
+  /// The certificate or the prover established equivalence. False when
+  /// neither could (nothing to check, rejected without fallback, or
+  /// the prover found a mismatch).
+  bool Equivalent = false;
+};
+
+/// The certificate-or-proof decision, written once for prime,
+/// finalize, pcc-dbcheck and tiered-store fills. A certificate can only
+/// make this accept a body the checker verifies; a forged or stale one
+/// is rejected and, under ProveOnFallback, the prover decides.
+TranslationVerdict checkTranslation(const TranslationCheck &C);
 
 } // namespace analysis
 } // namespace pcc

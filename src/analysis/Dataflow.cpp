@@ -166,53 +166,6 @@ LivenessResult pcc::analysis::solveLiveness(const Cfg &G) {
   return LivenessResult{std::move(S.In), std::move(S.Out)};
 }
 
-ReachingDefsResult pcc::analysis::solveReachingDefs(const Cfg &G) {
-  ReachingDefsResult R;
-  // Number the definition sites and group them by register for the
-  // kill sets.
-  std::vector<int> DefIdOf(G.instructions().size(), -1);
-  std::vector<std::vector<uint32_t>> DefsOfReg(isa::NumRegisters);
-  for (const CfgBlock &B : G.blocks())
-    for (uint32_t I = B.FirstInst; I <= B.lastInst(); ++I)
-      if (int Reg = instDef(G.instructions()[I]); Reg >= 0) {
-        DefIdOf[I] = static_cast<int>(R.DefSites.size());
-        DefsOfReg[Reg].push_back(
-            static_cast<uint32_t>(R.DefSites.size()));
-        R.DefSites.push_back(I);
-      }
-  const size_t Words = (R.DefSites.size() + 63) / 64;
-
-  using Bits = std::vector<uint64_t>;
-  DataflowProblem<Bits> P;
-  P.Dir = Direction::Forward;
-  P.Init = Bits(Words, 0);
-  P.Boundary = Bits(Words, 0); // nothing defined before the region
-  P.Meet = [](const Bits &A, const Bits &B) {
-    Bits M = A;
-    for (size_t I = 0; I != M.size(); ++I)
-      M[I] |= B[I];
-    return M;
-  };
-  P.Transfer = [&](const Cfg &Graph, uint32_t Block, const Bits &In) {
-    const CfgBlock &B = Graph.blocks()[Block];
-    Bits Val = In;
-    for (uint32_t I = B.FirstInst; I <= B.lastInst(); ++I) {
-      int Reg = instDef(Graph.instructions()[I]);
-      if (Reg < 0)
-        continue;
-      for (uint32_t Dead : DefsOfReg[Reg])
-        Val[Dead / 64] &= ~(uint64_t(1) << (Dead % 64));
-      uint32_t Id = static_cast<uint32_t>(DefIdOf[I]);
-      Val[Id / 64] |= uint64_t(1) << (Id % 64);
-    }
-    return Val;
-  };
-  auto S = solveDataflow(G, P);
-  R.In = std::move(S.In);
-  R.Out = std::move(S.Out);
-  return R;
-}
-
 std::optional<uint32_t> pcc::analysis::foldBinaryOp(Opcode Op,
                                                     uint32_t A,
                                                     uint32_t B) {

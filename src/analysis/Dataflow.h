@@ -7,8 +7,9 @@
 ///
 /// \file
 /// An iterative (worklist) dataflow framework over analysis::Cfg plus
-/// the two instances the rest of the system uses: liveness of guest
-/// registers (backward, may) and reaching definitions (forward, may).
+/// the instances the rest of the system uses: liveness of guest
+/// registers (backward, may), constant propagation and available loads
+/// (forward, must).
 ///
 /// Every edge that leaves the analyzed region — indirect transfers,
 /// out-of-region targets, syscalls, and (in trace mode) every taken
@@ -169,29 +170,6 @@ struct LivenessResult {
 };
 
 LivenessResult solveLiveness(const Cfg &G);
-
-/// @}
-
-/// \name Reaching definitions (forward, may)
-/// @{
-
-struct ReachingDefsResult {
-  /// Definition sites: instruction index of each def, in instruction
-  /// order. Def id d is DefSites[d].
-  std::vector<uint32_t> DefSites;
-  /// Def-id bitsets (one uint64_t word per 64 defs) at block entry and
-  /// exit.
-  std::vector<std::vector<uint64_t>> In, Out;
-
-  bool reachesEntry(uint32_t DefId, uint32_t Block) const {
-    return (In[Block][DefId / 64] >> (DefId % 64)) & 1;
-  }
-  bool reachesExit(uint32_t DefId, uint32_t Block) const {
-    return (Out[Block][DefId / 64] >> (DefId % 64)) & 1;
-  }
-};
-
-ReachingDefsResult solveReachingDefs(const Cfg &G);
 
 /// @}
 

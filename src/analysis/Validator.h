@@ -77,7 +77,7 @@ validateTranslation(uint32_t GuestStart,
 
 /// As above, and on success additionally emits into \p CertOut a
 /// proof-carrying certificate (analysis::Certificate) from which the
-/// minimal checker (analysis::checkCertificate) can re-establish the
+/// minimal checker (analysis::checkCertificateBlob) can re-establish the
 /// verdict without re-running the prover. \p CertOut may be null (then
 /// this is exactly the plain overload); on failure it is reset to an
 /// empty certificate. The caller fills Certificate::OptGen — the

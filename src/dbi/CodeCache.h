@@ -83,9 +83,6 @@ struct PersistedPayload {
   int64_t RebaseDelta = 0;
   /// Per-instruction reloc bitmask (empty when RebaseDelta == 0).
   std::vector<uint8_t> RelocMask;
-  /// The trace's plan slot: async payload jobs address their results by
-  /// it.
-  uint32_t PlanSlot = 0;
   /// True when the trace's pool bytes live in a borrowed executable
   /// mapping: first execution CRC-checks and bounds-scans the mapped
   /// bytes in place instead of decoding a private copy. Cleared when
@@ -172,6 +169,14 @@ public:
   /// Moves the trace's code within the pool (cache compaction).
   void relocateInPool(uint32_t NewOffset) { PoolOffset = NewOffset; }
 
+  /// The plan slot this trace was built from (NoPlanSlot for compiled
+  /// traces). Async payload jobs address their results by it, and the
+  /// persistent session reads the trace's admitted record through it.
+  /// Kept after materialization, flush and eviction.
+  static constexpr uint32_t NoPlanSlot = ~0u;
+  uint32_t planSlot() const { return PlanSlot; }
+  void setPlanSlot(uint32_t Slot) { PlanSlot = Slot; }
+
   /// \name Lazy payload validation (format v2)
   /// @{
   void setPersistedPayload(std::unique_ptr<PersistedPayload> P) {
@@ -238,6 +243,7 @@ private:
   std::vector<TraceExit> Exits;
   bool FromPersistentCache;
   bool Materialized = false;
+  uint32_t PlanSlot = NoPlanSlot;
   std::unique_ptr<PersistedPayload> Pending;
   std::vector<isa::Instruction> Body;
   /// Non-null when the body executes in place from a borrowed mapping.

@@ -108,7 +108,7 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
           "persisted trace body fails in-place field validation");
     if (ValidateMaterialize) {
       std::vector<Instruction> Copy(InPlace, InPlace + T->guestInstCount());
-      Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
+      Status Verdict = ValidateMaterialize(*T, Copy, Stats);
       if (!Verdict.ok())
         return Verdict;
     }
@@ -127,7 +127,7 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
   // observe the worker count.
   std::optional<ReadyTrace> Ready;
   if (InstallQ) {
-    auto It = Prevalidated.find(P->PlanSlot);
+    auto It = Prevalidated.find(T->planSlot());
     if (It != Prevalidated.end()) {
       Ready = std::move(It->second);
       Prevalidated.erase(It);
@@ -137,8 +137,8 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
       // executions, except those that can have none: already
       // materialized (inline, while the chunk was in flight) or no
       // longer resident.
-      for (ReadyTrace &R : InstallQ->takeFor(P->PlanSlot)) {
-        if (R.Slot == P->PlanSlot)
+      for (ReadyTrace &R : InstallQ->takeFor(T->planSlot())) {
+        if (R.Slot == T->planSlot())
           Ready = std::move(R);
         else if (Cache.slotAwaitsMaterialize(R.Slot))
           Prevalidated.emplace(R.Slot, std::move(R));
@@ -164,29 +164,13 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
     // effect-equivalent to the guest instructions it claims to
     // translate. Runs before materialize so a rejected trace follows
     // the same drop-and-retranslate path as a CRC mismatch.
-    Status Verdict = runMaterializeCheck(T->guestStart(), Ready->Body);
+    Status Verdict = ValidateMaterialize(*T, Ready->Body, Stats);
     if (!Verdict.ok())
       return Verdict;
   }
   T->materialize(std::move(Ready->Body));
   chargePersistFirstTouch(T);
   ++Stats.TracesReused;
-  return Status::success();
-}
-
-Status Engine::runMaterializeCheck(
-    uint32_t GuestStart, const std::vector<Instruction> &Body) {
-  MaterializeCheckInfo Info;
-  Status Verdict = ValidateMaterialize(GuestStart, Body, Info);
-  Stats.CertsChecked += Info.CertsChecked;
-  Stats.CertChecksFailed += Info.CertChecksFailed;
-  Stats.ProofsReplayed += Info.ProofsReplayed;
-  if (!Verdict.ok()) {
-    ++Stats.VerifyFailures;
-    return Verdict;
-  }
-  if (Info.Verified)
-    ++Stats.TracesVerified;
   return Status::success();
 }
 

@@ -123,36 +123,21 @@ public:
   /// Published results held for chunk-mates' first executions.
   size_t prevalidatedResults() const { return Prevalidated.size(); }
 
-  /// What a materialize-time verification hook did, reported back so
-  /// the engine can account for it without knowing how the session
-  /// verifies (full symbolic re-proof, certificate check, or neither).
-  struct MaterializeCheckInfo {
-    /// The hook established effect-equivalence for this body (counts in
-    /// EngineStats::TracesVerified). False when the hook passed the
-    /// trace through unverified (e.g. an unpromoted trace under
-    /// certificate-only checking).
-    bool Verified = false;
-    /// Certificate checks attempted / failed for this body.
-    uint32_t CertsChecked = 0;
-    uint32_t CertChecksFailed = 0;
-    /// Full symbolic re-proofs run (certificate missing or rejected).
-    uint32_t ProofsReplayed = 0;
-  };
-
   /// Deep-verification hook run when a persisted trace's body is
   /// materialized at first execution (whether a pool worker or the
   /// engine thread decoded it), before the trace becomes executable.
-  /// Receives the trace's guest start address, its decoded (rebased)
-  /// body, and an Info out-param describing the verification work
-  /// done; a non-success Status rejects the trace, which is then
-  /// dropped and retranslated from guest memory exactly like a payload
-  /// CRC failure. Installed by
+  /// Receives the trace (its plan slot and guest start), its decoded
+  /// (rebased) body, and the engine's stats, where it counts the
+  /// verification work it did (TracesVerified, VerifyFailures and the
+  /// certificate and re-proof counters); a non-success Status rejects
+  /// the trace, which is then dropped and retranslated from guest
+  /// memory exactly like a payload CRC failure. Installed by
   /// persist::Session when PersistOptions::ValidateSemantic or
   /// certificate checking applies; the engine itself stays
   /// persistence-agnostic.
   using MaterializeValidator = std::function<Status(
-      uint32_t GuestStart, const std::vector<isa::Instruction> &Body,
-      MaterializeCheckInfo &Info)>;
+      const TranslatedTrace &T, const std::vector<isa::Instruction> &Body,
+      EngineStats &Stats)>;
   void setMaterializeValidator(MaterializeValidator V) {
     ValidateMaterialize = std::move(V);
   }
@@ -188,13 +173,6 @@ private:
   /// \p T, splitting newly touched pages into shared soft faults and
   /// demand-paged I/O when a residency probe is attached.
   void chargePersistFirstTouch(TranslatedTrace *T);
-
-  /// Runs ValidateMaterialize over \p Body, folding the hook's
-  /// MaterializeCheckInfo into Stats (certificate and re-proof
-  /// counters; TracesVerified only when the hook actually verified).
-  /// Must only be called with the hook installed.
-  Status runMaterializeCheck(uint32_t GuestStart,
-                             const std::vector<isa::Instruction> &Body);
 
   vm::Machine &M;
   Tool *ClientTool;

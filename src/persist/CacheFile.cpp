@@ -18,6 +18,19 @@ uint32_t pcc::persist::traceDataBytes(uint32_t NumExits,
   return dbi::TranslatedTrace::dataBytesFor(NumExits, NumInsts);
 }
 
+const uint8_t *TraceRecord::bodyBytes() const {
+  return Code.data() + dbi::TracePrologueBytes;
+}
+
+ErrorOr<std::vector<isa::Instruction>> TraceRecord::decodeBody() const {
+  if (Code.size() < dbi::TracePrologueBytes +
+                        static_cast<size_t>(GuestInstCount) *
+                            isa::InstructionSize)
+    return Status::error(ErrorCode::InvalidFormat,
+                         "code image smaller than its instruction count");
+  return isa::decodeAll(bodyBytes(), GuestInstCount);
+}
+
 uint32_t CacheFile::maxOptGen() const {
   uint32_t Max = 0;
   for (const TraceRecord &Trace : Traces)

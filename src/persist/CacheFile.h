@@ -26,6 +26,7 @@
 #define PCC_PERSIST_CACHEFILE_H
 
 #include "dbi/Trace.h"
+#include "isa/Instruction.h"
 #include "persist/Key.h"
 #include "support/Error.h"
 
@@ -88,6 +89,13 @@ struct TraceRecord {
       RelocMask.resize(Byte + 1, 0);
     RelocMask[Byte] |= uint8_t(1u << (InstIndex % 8));
   }
+
+  /// The stored body encodings: GuestInstCount instructions behind the
+  /// code image's prologue.
+  const uint8_t *bodyBytes() const;
+  /// Decodes the stored body; InvalidFormat when the code image is too
+  /// small to hold it.
+  ErrorOr<std::vector<isa::Instruction>> decodeBody() const;
 };
 
 /// In-memory image of a persistent cache file.

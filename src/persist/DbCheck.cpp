@@ -3,10 +3,7 @@
 #include "persist/DbCheck.h"
 
 #include "analysis/CertChecker.h"
-#include "analysis/Certificate.h"
-#include "analysis/Validator.h"
 #include "binary/Module.h"
-#include "dbi/Compiler.h"
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
 #include "persist/DirectoryStore.h"
@@ -64,21 +61,18 @@ std::string certSweepFile(CacheFile &File, bool Repair,
     if (Rec.Cert.empty())
       continue;
     ++R.CertsChecked;
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
     analysis::CertCheckResult C;
-    if (Translated) {
+    if (auto Translated = Rec.decodeBody()) {
       // The decoded body came straight from the record's stored
       // encodings, so bind those bytes and spare the checker a
       // re-encode.
-      analysis::CertBindings Bind;
-      Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-      Bind.BodyByteCount =
-          static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-      C = analysis::checkCertificateBlob(Rec.Cert.data(),
-                                         Rec.Cert.size(), Rec.GuestStart,
-                                         *Translated, nullptr, &Bind);
+      C = analysis::checkTranslation(
+              {.GuestStart = Rec.GuestStart,
+               .Body = &*Translated,
+               .Bind = analysis::CertBindings::ofBody(Rec.bodyBytes(),
+                                                      Rec.GuestInstCount),
+               .Cert = Rec.Cert})
+              .Cert;
     } else {
       C.Status = analysis::CertCheckStatus::Malformed;
       C.Detail = Translated.status().message();
@@ -87,10 +81,9 @@ std::string certSweepFile(CacheFile &File, bool Repair,
       continue;
     ++R.CertsRejected;
     if (FirstReject.empty())
-      FirstReject = formatString(
-          "trace @%08x: certificate rejected (%s%s%s)", Rec.GuestStart,
-          analysis::certCheckStatusName(C.Status),
-          C.Detail.empty() ? "" : ": ", C.Detail.c_str());
+      FirstReject =
+          formatString("trace @%08x: certificate rejected (%s)",
+                       Rec.GuestStart, C.describe().c_str());
     if (Repair)
       Rec.Cert.clear();
   }
@@ -98,14 +91,11 @@ std::string certSweepFile(CacheFile &File, bool Repair,
 }
 
 /// Deep semantic sweep over one (CRC-intact) cache file: every trace is
-/// symbolically validated against the guest instructions its module
-/// supplies. Traces carrying a validation certificate go through the
-/// trusted checker first, bound to the real module text; only a
-/// rejected (or absent) certificate on a promoted body pays for the
-/// full prover. Under \p Repair, a promoted trace the prover vouched
-/// for gets a fresh certificate (regenerated from that very proof) and
-/// a rejected certificate on a failing trace is simply part of the
-/// mismatch disposition. Fills the TracesVerified/Mismatched/
+/// checked against the guest instructions its module supplies — its
+/// certificate first, bound to the real module text, the full prover
+/// only when that is rejected or absent. Under \p Repair, a promoted
+/// trace the prover vouched for gets that very proof as a fresh
+/// certificate. Fills the TracesVerified/Mismatched/
 /// Unverifiable and certificate counters; sets \p CertsDirty when a
 /// repair changed any record's certificate; returns the first mismatch
 /// description (empty when none).
@@ -171,15 +161,7 @@ std::string deepCheckFile(CacheFile &File, const DeepContext &Deep,
       Flag("body extends past module text");
       continue;
     }
-    if (Rec.Code.size() < dbi::TracePrologueBytes +
-                              static_cast<size_t>(Rec.GuestInstCount) *
-                                  isa::InstructionSize) {
-      Flag("code image smaller than its instruction count");
-      continue;
-    }
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
+    auto Translated = Rec.decodeBody();
     if (!Translated) {
       Flag(Translated.status().message());
       continue;
@@ -187,45 +169,30 @@ std::string deepCheckFile(CacheFile &File, const DeepContext &Deep,
     std::vector<isa::Instruction> Source(
         Insts->begin() + First,
         Insts->begin() + First + Rec.GuestInstCount);
-    // Certificate fast path: replay the recorded proof with the
-    // trusted checker, bound to the real module text.
-    bool CertRejected = false;
-    if (!Rec.Cert.empty()) {
-      ++R.CertsChecked;
-      analysis::CertBindings Bind;
-      Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-      Bind.BodyByteCount =
-          static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-      if (analysis::checkCertificateBlob(Rec.Cert.data(),
-                                         Rec.Cert.size(), Rec.GuestStart,
-                                         *Translated, &Source, &Bind)
-              .ok()) {
-        ++R.TracesVerified;
-        if (Rec.OptGen > 0)
-          ++R.TracesPromotedVerified;
-        continue;
-      }
-      ++R.CertsRejected;
-      CertRejected = true;
-    }
     analysis::Certificate Fresh;
     const bool WantFresh = Repair && Rec.OptGen > 0;
-    auto Check = analysis::validateTranslation(
-        Rec.GuestStart, Source, *Translated,
-        WantFresh ? &Fresh : nullptr);
-    if (!Check.Equivalent) {
-      Flag(Check.message());
+    const analysis::TranslationVerdict V = analysis::checkTranslation(
+        {.GuestStart = Rec.GuestStart,
+         .Body = &*Translated,
+         .Source = &Source,
+         .Bind = analysis::CertBindings::ofBody(Rec.bodyBytes(),
+                                                Rec.GuestInstCount),
+         .Cert = Rec.Cert,
+         .ProveOnFallback = true,
+         .FreshProof = WantFresh ? &Fresh : nullptr});
+    R.CertsChecked += V.CertChecked;
+    R.CertsRejected += V.CertRejected;
+    if (!V.Equivalent) {
+      Flag(V.Proof.message());
       continue;
     }
-    if (Rec.OptGen > 0 && (CertRejected || Rec.Cert.empty()))
+    if (V.ProverRan && Rec.OptGen > 0)
       ++R.CertsReplayedByProver;
-    if (WantFresh && (CertRejected || Rec.Cert.empty())) {
-      // The prover just vouched for this promoted body against the
-      // real source: persist that proof as a fresh certificate.
+    if (V.ProverRan && WantFresh) {
       Fresh.OptGen = Rec.OptGen;
       Rec.Cert = Fresh.serialize();
       CertsDirty = true;
-    } else if (Repair && CertRejected) {
+    } else if (Repair && V.CertRejected) {
       Rec.Cert.clear();
       CertsDirty = true;
     }

@@ -105,13 +105,8 @@ struct PersistentSession::PlannedTrace {
   /// code offset when borrowing, the packed offset when copying.
   uint32_t PoolOffset = 0;
   int64_t Delta = 0; ///< Load-address delta of the trace's module.
-  uint32_t Heat = 0;
-  uint32_t OptGen = 0;
   std::vector<dbi::TraceExit> Exits;
   std::vector<uint32_t> LinkedStarts; ///< Rebased, one per exit.
-  /// Certificate blob that rode in with a promoted body (empty when
-  /// uncertified or rebased).
-  std::vector<uint8_t> Cert;
 };
 
 /// What one walk of the trace index decided.
@@ -135,9 +130,10 @@ struct PersistentSession::AdmittedPlan {
   };
   std::shared_ptr<const CacheFileView> View;
   std::vector<Slot> Slots;
-  bool Pic = false;     ///< Payloads carry reloc masks.
-  bool Xip = false;     ///< The pool borrows the view's payload.
-  bool Linking = false; ///< Persisted links are restored.
+  bool Pic = false;      ///< Payloads carry reloc masks.
+  bool Xip = false;      ///< The pool borrows the view's payload.
+  bool Linking = false;  ///< Persisted links are restored.
+  bool Promoted = false; ///< Some admitted trace has OptGen > 0.
 
   const TraceIndexEntry &entry(uint32_t S) const {
     return View->entry(Slots[S].TraceIndex);
@@ -152,7 +148,6 @@ struct PersistentSession::AdmittedPlan {
     P.RebaseDelta = Slots[S].Delta;
     if (P.RebaseDelta != 0)
       P.RelocMask = View->readRelocMask(Slots[S].TraceIndex);
-    P.PlanSlot = S;
     P.Xip = Xip;
     return P;
   }
@@ -192,7 +187,18 @@ struct PersistentSession::AdmittedPlan {
         std::make_unique<dbi::PersistedPayload>(payloadOf(S)));
     T->setPersistedHeat(E.Heat);
     T->setOptGen(E.OptGen);
+    T->setPlanSlot(S);
     return T;
+  }
+
+  /// Slot \p S's certificate blob, read in place from the view; empty
+  /// when it has none. A certificate binds to the exact stored body
+  /// bytes, so a rebased slot has none.
+  std::span<const uint8_t> certOf(uint32_t S) const {
+    if (Slots[S].Delta != 0)
+      return {};
+    auto [Data, Size] = View->certBlobOf(Slots[S].TraceIndex);
+    return {Data, Size};
   }
 
   /// True when an exit's persisted link to \p Linked is restored: the
@@ -347,93 +353,77 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
       return Map->touch(PayloadId, Page);
     });
   }
-  if (Opts.ValidateSemantic || !PrimedCerts.empty()) {
+  if (Admitted && (Opts.ValidateSemantic ||
+                   (Opts.CheckCertificates && Admitted->Promoted))) {
     // Verification at materialization: whenever a primed trace's body
     // is materialized at first execution (decoded inline or by a pool
     // worker), it is checked against the guest instructions at its
-    // start address. Promoted traces that rode in with a validation
-    // certificate go through the minimal trusted checker (no fixpoint
-    // solving); a rejected certificate — and any promoted trace
-    // without one — falls back to the full symbolic
-    // validator. Under Opts.ValidateSemantic, unpromoted traces are
-    // fully proved too. A trace that fails every applicable check is
-    // dropped for retranslation — and, once per session, the source
-    // cache is quarantined so later runs stop re-priming a miscompiled
-    // database (CertificateInvalid when a certificate lied and the
-    // re-proof agreed it was wrong; SemanticMismatch otherwise).
+    // start address. A promoted trace under certificate checking is
+    // checked against the certificate that rode in with it, read in
+    // place from the view through its plan slot; a rejected
+    // certificate, or none, falls back to the full prover (counted in
+    // ProofsReplayed). Under Opts.ValidateSemantic, unpromoted traces
+    // are fully proved too. A trace that fails is dropped for
+    // retranslation — and, once per session, the source cache is
+    // quarantined so later runs stop re-priming a miscompiled database
+    // (CertificateInvalid when a certificate lied and the re-proof
+    // agreed it was wrong; SemanticMismatch otherwise).
     std::shared_ptr<CacheStore> StorePtr = Db.backend();
     auto AlreadyQuarantined = std::make_shared<bool>(false);
     std::string Ref = Result.CachePath;
     loader::AddressSpace &Space = Engine.machine().space();
-    auto Certs = std::make_shared<
-        std::unordered_map<uint32_t, std::vector<uint8_t>>>(
-        std::move(PrimedCerts));
-    PrimedCerts.clear();
+    const bool CheckCerts = Opts.CheckCertificates;
     const bool ValidateAll = Opts.ValidateSemantic;
     Engine.setMaterializeValidator(
-        [&Space, StorePtr, AlreadyQuarantined, Ref, Certs, ValidateAll](
-            uint32_t GuestStart,
-            const std::vector<isa::Instruction> &Body,
-            dbi::Engine::MaterializeCheckInfo &Info) -> Status {
-          auto QuarantineOnce = [&](QuarantineReasonCode Code,
-                                    const std::string &Detail) {
-            if (!*AlreadyQuarantined && !Ref.empty()) {
-              *AlreadyQuarantined = true;
-              (void)StorePtr->quarantineRef(
-                  Ref, annotatedQuarantineReason(Ref, Code, Detail));
-            }
-          };
-          auto It = Certs->find(GuestStart);
-          if (It == Certs->end() && !ValidateAll)
+        [&Space, StorePtr, AlreadyQuarantined, Ref, Plan = Admitted,
+         CheckCerts, ValidateAll](const TranslatedTrace &T,
+                                  const std::vector<isa::Instruction> &Body,
+                                  dbi::EngineStats &Stats) -> Status {
+          const uint32_t Slot = T.planSlot();
+          assert(Slot != TranslatedTrace::NoPlanSlot &&
+                 "only plan-built traces materialize");
+          const bool Promoted = CheckCerts && Plan->entry(Slot).OptGen > 0;
+          if (!Promoted && !ValidateAll)
             return Status::success(); // Unpromoted, not validating.
           auto Source = fetchGuestSource(
-              Space, GuestStart, static_cast<uint32_t>(Body.size()));
-          if (!Source)
+              Space, T.guestStart(), static_cast<uint32_t>(Body.size()));
+          if (!Source) {
+            ++Stats.VerifyFailures;
             return Source.status();
-          bool CertRejected = false;
-          std::string CertDetail;
-          if (It != Certs->end() && !It->second.empty()) {
-            // Certificate fast path: replay the recorded proof with
-            // the trusted checker, bound to the live guest bytes.
-            ++Info.CertsChecked;
-            analysis::CertCheckResult R = analysis::checkCertificateBlob(
-                It->second.data(), It->second.size(), GuestStart, Body,
-                &*Source);
-            if (R.ok()) {
-              Info.Verified = true;
-              return Status::success();
-            }
-            ++Info.CertChecksFailed;
-            CertRejected = true;
-            CertDetail = std::string(certCheckStatusName(R.Status)) +
-                         (R.Detail.empty() ? "" : ": " + R.Detail);
           }
-          // Full symbolic proof: the prover backstop for a rejected or
-          // missing certificate on a promoted body, and the
-          // ValidateSemantic path for unpromoted ones.
-          if (It != Certs->end())
-            ++Info.ProofsReplayed;
-          auto Check =
-              analysis::validateTranslation(GuestStart, *Source, Body);
-          if (Check.Equivalent) {
-            Info.Verified = true;
+          const analysis::TranslationVerdict V = analysis::checkTranslation(
+              {.GuestStart = T.guestStart(),
+               .Body = &Body,
+               .Source = &*Source,
+               .Cert = Promoted ? Plan->certOf(Slot)
+                                : std::span<const uint8_t>(),
+               .ProveOnFallback = true});
+          Stats.CertsChecked += V.CertChecked;
+          Stats.CertChecksFailed += V.CertRejected;
+          Stats.ProofsReplayed += Promoted && V.ProverRan;
+          if (V.Equivalent) {
+            ++Stats.TracesVerified;
             return Status::success();
           }
-          if (CertRejected) {
-            QuarantineOnce(QuarantineReasonCode::CertificateInvalid,
-                           "certificate rejected (" + CertDetail +
-                               ") and re-proof failed: " +
-                               Check.message());
-            return Status::error(ErrorCode::InvalidFormat,
-                                 "certificate rejected and re-proof "
-                                 "failed: " +
-                                     Check.message());
+          ++Stats.VerifyFailures;
+          const std::string Proof = V.Proof.message();
+          if (!*AlreadyQuarantined && !Ref.empty()) {
+            *AlreadyQuarantined = true;
+            (void)StorePtr->quarantineRef(
+                Ref, V.CertRejected
+                         ? annotatedQuarantineReason(
+                               Ref, QuarantineReasonCode::CertificateInvalid,
+                               "certificate rejected (" + V.Cert.describe() +
+                                   ") and re-proof failed: " + Proof)
+                         : annotatedQuarantineReason(
+                               Ref, QuarantineReasonCode::SemanticMismatch,
+                               Proof));
           }
-          QuarantineOnce(QuarantineReasonCode::SemanticMismatch,
-                         Check.message());
-          return Status::error(ErrorCode::InvalidFormat,
-                               "translation validation failed: " +
-                                   Check.message());
+          return Status::error(
+              ErrorCode::InvalidFormat,
+              (V.CertRejected ? "certificate rejected and re-proof failed: "
+                              : "translation validation failed: ") +
+                  Proof);
         });
   }
   return Result;
@@ -548,8 +538,6 @@ PersistentSession::planInstall(dbi::Engine &Engine,
     P.GuestInstCount = E.GuestInstCount;
     P.CodeSize = E.CodeSize;
     P.Delta = D;
-    P.Heat = E.Heat;
-    P.OptGen = E.OptGen;
     bool BadExit = false;
     // Exits and links come from the trace index, whose CRC was already
     // validated at open — so restoring links here is safe even though
@@ -571,14 +559,6 @@ PersistentSession::planInstall(dbi::Engine &Engine,
     if (BadExit) {
       ++Plan.Skipped;
       continue;
-    }
-    // A certificate binds to the exact stored body bytes, so a rebase
-    // invalidates it: the promoted trace is then re-proved in full at
-    // materialization (empty map entry).
-    if (Opts.CheckCertificates && E.OptGen > 0 && D == 0) {
-      auto [CertData, CertSize] = View.certBlobOf(TraceI);
-      if (CertData)
-        P.Cert.assign(CertData, CertData + CertSize);
     }
     Plan.CodeBytes += E.CodeSize;
     SeenStarts.insert(NewStart);
@@ -668,8 +648,7 @@ Status PersistentSession::installPlan(dbi::Engine &Engine,
       P.LinkedStarts.clear();
       continue;
     }
-    if (Opts.CheckCertificates && P.OptGen > 0)
-      PrimedCerts.emplace(P.Start, std::move(P.Cert));
+    Admit->Promoted |= View.entry(P.TraceIndex).OptGen > 0;
     Admit->Slots.push_back({P.TraceIndex, P.Start, P.PoolOffset, P.Delta});
     ++Result.TracesInstalled;
   }
@@ -801,8 +780,7 @@ void promoteCacheFile(CacheFile &File, const loader::AddressSpace &Space,
     uint32_t Offset = 0;
     for (size_t K = 0; K != Chain.size(); ++K) {
       const TraceRecord &Rec = File.Traces[CandIdx[Chain[K]]];
-      auto Part = isa::decodeAll(
-          Rec.Code.data() + dbi::TracePrologueBytes, Rec.GuestInstCount);
+      auto Part = Rec.decodeBody();
       if (!Part) {
         Bad = true;
         break;
@@ -850,8 +828,7 @@ void promoteCacheFile(CacheFile &File, const loader::AddressSpace &Space,
     if (Done[CI])
       continue;
     TraceRecord &Rec = File.Traces[CandIdx[CI]];
-    auto Body = isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                               Rec.GuestInstCount);
+    auto Body = Rec.decodeBody();
     if (Body)
       promoteBody(Rec, Body.take(), Sources.at(Cands[CI].Start), Pic,
                   EmitCerts, Stats);
@@ -1004,48 +981,36 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // sign a trace whose code image is no longer effect-equivalent to
   // the guest code it claims to translate — in-pool corruption would
   // otherwise be re-published under a fresh checksum. A mismatch skips
-  // just that trace.
+  // just that trace, and carry-through does not bring its stored copy
+  // back from the view.
   const loader::AddressSpace &Space = Engine.machine().space();
+  std::vector<uint32_t> Refused; ///< Starts a mismatch skipped.
   auto semanticallyValid = [&](TraceRecord &Rec) -> bool {
     if (!Opts.ValidateSemantic)
       return true;
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
-    auto Source =
-        Translated ? fetchGuestSource(Space, Rec.GuestStart,
-                                      Rec.GuestInstCount)
-                   : ErrorOr<std::vector<isa::Instruction>>(
-                         Translated.status());
-    if (!Translated || !Source) {
+    auto Translated = Rec.decodeBody();
+    auto Source = fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
+    // A record that still carries its promotion certificate is verified
+    // by the trusted checker; only a rejected (or absent) certificate
+    // pays for the full symbolic proof.
+    analysis::TranslationVerdict V;
+    if (Translated && Source)
+      V = analysis::checkTranslation(
+          {.GuestStart = Rec.GuestStart,
+           .Body = &*Translated,
+           .Source = &*Source,
+           .Bind = analysis::CertBindings::ofBody(Rec.bodyBytes(),
+                                                  Rec.GuestInstCount),
+           .Cert = Rec.Cert,
+           .ProveOnFallback = true});
+    if (!V.Equivalent) {
       ++Engine.stats().VerifyFailures;
-      return false;
-    }
-    // Certificate fast path: a record that still carries its promotion
-    // certificate is verified by the trusted checker; only a rejected
-    // (or absent) certificate pays for the full symbolic proof.
-    const bool HadCert = !Rec.Cert.empty();
-    analysis::CertBindings Bind;
-    Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-    Bind.BodyByteCount =
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    if (HadCert &&
-        analysis::checkCertificateBlob(Rec.Cert.data(), Rec.Cert.size(),
-                                       Rec.GuestStart, *Translated,
-                                       &*Source, &Bind)
-            .ok()) {
-      ++Engine.stats().TracesVerified;
-      return true;
-    }
-    if (!analysis::validateTranslation(Rec.GuestStart, *Source,
-                                       *Translated)
-             .Equivalent) {
-      ++Engine.stats().VerifyFailures;
+      Refused.push_back(Rec.GuestStart);
       return false;
     }
     // The prover vouches for the body but the certificate did not:
     // drop the stale certificate, keep the trace.
-    if (HadCert)
+    if (V.CertRejected)
       Rec.Cert.clear();
     ++Engine.stats().TracesVerified;
     return true;
@@ -1053,39 +1018,24 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
 
   // Resident traces harvested from the engine pool lost their record
   // envelopes at install — certificates included. Re-attach each
-  // promoted trace's certificate from the primed file when the body
-  // bytes still match exactly (CRC-bound), so an executed-but-
-  // unmodified promotion keeps its proof across generations without
-  // re-proving. PriorCerts holds (guest start, view index) for every
-  // certified view trace, sorted, so a lookup finds the lowest index
-  // for a start.
-  std::vector<std::pair<uint32_t, uint32_t>> PriorCerts;
-  if (LoadedView && LoadedView->certsPresent()) {
-    PriorCerts.reserve(LoadedView->numTraces());
-    for (uint32_t J = 0; J != LoadedView->numTraces(); ++J)
-      if (LoadedView->certBlobOf(J).first)
-        PriorCerts.emplace_back(LoadedView->entry(J).GuestStart, J);
-    std::sort(PriorCerts.begin(), PriorCerts.end());
-  }
-  auto reattachCert = [&](TraceRecord &Rec) {
-    if (Rec.OptGen == 0 || !Rec.Cert.empty() || PriorCerts.empty())
+  // promoted trace's certificate, read in place from the primed view
+  // through the trace's plan slot, when the body bytes still match
+  // exactly (CRC-bound), so an executed-but-unmodified promotion keeps
+  // its proof across generations without re-proving.
+  auto reattachCert = [&](TraceRecord &Rec, uint32_t Slot) {
+    if (Rec.OptGen == 0 || Slot == TranslatedTrace::NoPlanSlot)
       return;
-    auto It = std::lower_bound(PriorCerts.begin(), PriorCerts.end(),
-                               std::make_pair(Rec.GuestStart, 0u));
-    if (It == PriorCerts.end() || It->first != Rec.GuestStart)
-      return;
-    auto [CertData, CertSize] = LoadedView->certBlobOf(It->second);
-    auto Peek = analysis::peekCertificate(CertData, CertSize);
+    const std::span<const uint8_t> Cert = Admitted->certOf(Slot);
+    auto Peek = analysis::peekCertificate(Cert.data(), Cert.size());
     if (!Peek || Peek->GuestStart != Rec.GuestStart ||
         Peek->InstCount != Rec.GuestInstCount)
       return;
     const size_t InstBytes =
         static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
     if (Rec.Code.size() < dbi::TracePrologueBytes + InstBytes ||
-        crc32(Rec.Code.data() + dbi::TracePrologueBytes, InstBytes) !=
-            Peek->BodyCrc)
-      return; // Body changed (rebase, recompile): certificate is stale.
-    Rec.Cert.assign(CertData, CertData + CertSize);
+        crc32(Rec.bodyBytes(), InstBytes) != Peek->BodyCrc)
+      return; // Body changed (recompile): certificate is stale.
+    Rec.Cert.assign(Cert.begin(), Cert.end());
   };
 
   // The record fields every resident trace shares. Heat accumulates
@@ -1120,8 +1070,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // is dropped (and retranslated by whichever run needs it) rather than
   // re-signed under a fresh checksum; rebase the written copy so the
   // file's bytes match the current base.
-  auto writeUnexecuted = [&](TraceRecord &Rec,
-                             const dbi::PersistedPayload &P) {
+  auto writeUnexecuted = [&](TraceRecord &Rec, const dbi::PersistedPayload &P,
+                             uint32_t Slot) {
     if (crc32(Rec.Code.data(), Rec.Code.size()) != P.ExpectedCodeCrc)
       return;
     dbi::rebaseTranslatedImage(Rec.Code.data(), Rec.Code.size(),
@@ -1129,8 +1079,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
                                P.RebaseDelta);
     if (Opts.PositionIndependent)
       Rec.RelocMask =
-          LoadedView->readRelocMask(Admitted->Slots[P.PlanSlot].TraceIndex);
-    reattachCert(Rec);
+          LoadedView->readRelocMask(Admitted->Slots[Slot].TraceIndex);
+    reattachCert(Rec, Slot);
     if (semanticallyValid(Rec))
       File.Traces.push_back(std::move(Rec));
   };
@@ -1150,7 +1100,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
       TraceRecord Rec = recordOf(S.Start, ModIndex, E.GuestInstCount, E.Heat,
                                  E.OptGen, S.PoolOffset, E.CodeSize,
                                  SlotExits);
-      writeUnexecuted(Rec, Admitted->payloadOf(Index));
+      writeUnexecuted(Rec, Admitted->payloadOf(Index), Index);
       continue;
     }
     int ModIndex = moduleIndexFor(T->guestStart());
@@ -1161,7 +1111,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         accumulatedHeat(T->persistedHeat(), T->executionCount()),
         T->optGen(), T->poolOffset(), T->poolBytes(), T->exits());
     if (const dbi::PersistedPayload *P = T->persistedPayload()) {
-      writeUnexecuted(Rec, *P);
+      writeUnexecuted(Rec, *P, T->planSlot());
       continue;
     }
     const uint8_t *Code = Cache.codeAt(T->poolOffset());
@@ -1202,7 +1152,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         Rec.setRelocBit(I);
       }
     }
-    reattachCert(Rec);
+    reattachCert(Rec, T->planSlot());
     if (!semanticallyValid(Rec))
       continue;
     File.Traces.push_back(std::move(Rec));
@@ -1212,13 +1162,14 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // ones already written, and link closure clears links to starts that
   // never made it into the file. Reserved once for the resident
   // snapshot plus everything carry-through could add.
-  const bool CarryThrough = Opts.Accumulate && LoadedWasOwn && LoadedView;
+  const bool CarryThrough = LoadedWasOwn && LoadedView;
   std::vector<uint32_t> Starts;
   Starts.reserve(File.Traces.size() +
                  (CarryThrough ? LoadedView->numTraces() : 0));
   for (const TraceRecord &Rec : File.Traces)
     Starts.push_back(Rec.GuestStart);
   std::sort(Starts.begin(), Starts.end());
+  std::sort(Refused.begin(), Refused.end());
 
   if (CarryThrough) {
     const ModuleBuckets Buckets = bucketByModule(*LoadedView);
@@ -1233,9 +1184,10 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     // application's own cache, and only when the module's base is
     // unchanged (always true for validated non-PIC modules; PIC reuse
     // at a new base would require rebasing the stale records, so those
-    // are left to retranslation instead). Each carried start is
-    // inserted in order; this path runs only after a flush or a full
-    // pool.
+    // are left to retranslation instead). Traces the write-back
+    // verification refused stay out. Each carried start is inserted in
+    // order; this path runs only after a flush, a full pool or a
+    // refusal.
     for (size_t I = 0; I != LoadedView->numModules(); ++I) {
       if (!ModuleLoadedNow[I] || !ModuleValidated[I])
         continue;
@@ -1248,7 +1200,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
       for (uint32_t J : Buckets.of(I)) {
         const uint32_t Start = LoadedView->entry(J).GuestStart;
         auto At = std::lower_bound(Starts.begin(), Starts.end(), Start);
-        if (At != Starts.end() && *At == Start)
+        if ((At != Starts.end() && *At == Start) ||
+            std::binary_search(Refused.begin(), Refused.end(), Start))
           continue;
         auto Copy = LoadedView->record(J);
         if (!Copy)
@@ -1325,13 +1278,12 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // history), so a concurrent finalizer that advanced the slot first is
   // detected and merged with instead of clobbered. Store-write circuit
   // breaker: persistence is an accelerator, so a failing write is
-  // retried up to the threshold and then abandoned — the run completes
-  // correctly either way.
+  // retried up to BreakerAttempts times and then abandoned — the run
+  // completes correctly either way.
   const uint32_t BaseGeneration =
       LoadedWasOwn && LoadedView ? File.Generation - 1 : 0;
-  const uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
   Status LastError = Status::success();
-  for (uint32_t Attempt = 0; Attempt != Attempts; ++Attempt) {
+  for (uint32_t Attempt = 0; Attempt != BreakerAttempts; ++Attempt) {
     if (Attempt != 0)
       ++Stats.PersistStoreRetries;
     if (!Opts.StoreAsPath.empty()) {

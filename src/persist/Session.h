@@ -52,7 +52,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pcc {
@@ -62,9 +61,6 @@ namespace persist {
 struct PersistOptions {
   /// Ignore the application key at lookup (inter-application mode).
   bool InterApplication = false;
-  /// Merge still-valid prior traces into the written cache. Off, the
-  /// written cache contains only this run's resident traces.
-  bool Accumulate = true;
   /// Write the cache back at finalize().
   bool WriteBack = true;
   /// Generate/consume position-independent translations (extension).
@@ -91,11 +87,6 @@ struct PersistOptions {
   std::string ExplicitCachePath;
   /// Write the cache to this path instead of the database slot.
   std::string StoreAsPath;
-  /// Circuit breaker: consecutive store-write failures finalize()
-  /// absorbs (retrying in between) before giving up on persistence for
-  /// this session. The run itself still succeeds — it just leaves
-  /// nothing behind, recorded in EngineStats::PersistDegraded.
-  uint32_t BreakerThreshold = 3;
   /// Propagate store-write failures as finalize() errors instead of
   /// degrading (strict tools and tests that must observe the failure).
   bool FailFast = false;
@@ -117,10 +108,11 @@ struct PersistOptions {
   bool ValidateSemantic = false;
   /// Check persisted validation certificates at prime time: every
   /// promoted (OptGen > 0) trace that rode in with a certificate is
-  /// re-verified by the minimal trusted checker
-  /// (analysis::checkCertificateBlob) when its body is first
-  /// materialized — no fixpoint solving, just replaying the recorded
-  /// proof against the live guest bytes. A rejected certificate falls
+  /// re-verified by the minimal trusted checker (through
+  /// analysis::checkTranslation) when its body is first materialized —
+  /// no fixpoint solving, just replaying the recorded proof against
+  /// the live guest bytes. The certificate is read in place from the
+  /// primed view by the trace's plan slot. A rejected certificate falls
   /// back to the full symbolic validator; if that also fails, the
   /// trace is dropped and the source cache quarantined with
   /// QuarantineReasonCode::CertificateInvalid. Promoted traces with no
@@ -153,6 +145,12 @@ struct PersistOptions {
   /// Combined instruction cap for a merged superblock body.
   uint32_t OptMaxSuperblockInsts = 256;
 };
+
+/// Circuit breaker: store-write attempts finalize() makes (retrying in
+/// between) before giving up on persistence for the session. The run
+/// itself still succeeds — it just leaves nothing behind, recorded in
+/// EngineStats::PersistDegraded.
+inline constexpr uint32_t BreakerAttempts = 3;
 
 /// What prime() did, for reporting and tests.
 struct PrimeResult {
@@ -241,8 +239,8 @@ private:
   struct AdmittedPlan;
   /// The one walk of \p View's trace index: validates the module keys,
   /// then applies the usability and exit-kind checks, translates each
-  /// usable entry by its module's load delta, and picks up certificates,
-  /// heat and optimization generations.
+  /// usable entry by its module's load delta, and picks up the
+  /// optimization generations.
   InstallPlan planInstall(dbi::Engine &Engine, const CacheFileView &View,
                           PrimeResult &Result);
   /// Admits \p Plan into the engine's code cache from LoadedView. Each
@@ -272,8 +270,11 @@ private:
   /// The plan installPlan() admitted (null when nothing was): per plan
   /// slot, the view entry, rebased start, pool offset and load delta.
   /// The code cache's slot builder and the async payload jobs share it
-  /// and read nothing else, so a job never touches a code-cache slot;
-  /// finalize() writes unbuilt slots from it.
+  /// and read nothing else, so a job never touches a code-cache slot.
+  /// Every trace built from it keeps its plan slot, through which the
+  /// materialize hook reads the trace's certificate in place from the
+  /// view (nothing is copied at prime) and finalize() writes unbuilt
+  /// slots and re-attaches certificates.
   std::shared_ptr<const AdmittedPlan> Admitted;
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
@@ -284,14 +285,6 @@ private:
   std::shared_ptr<CacheFileView> LoadedView;
   std::vector<bool> ModuleValidated; ///< Per LoadedView module.
   std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
-  /// Promoted traces admitted by prime(), keyed by their (rebased)
-  /// start address: the value is the validation certificate that rode
-  /// in with the record, or empty when none is usable (rebase delta,
-  /// or a pre-certificate file). Decided at admission, whether or not
-  /// the trace is ever built; consumed by the materialize-check hook,
-  /// which certificate-checks the former and re-proves the latter in
-  /// full.
-  std::unordered_map<uint32_t, std::vector<uint8_t>> PrimedCerts;
   bool LoadedWasOwn = false; ///< Cache came from this app's own slot.
   uint64_t LookupKey = 0;
   uint64_t EngineHash = 0;

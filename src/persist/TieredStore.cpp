@@ -3,7 +3,6 @@
 #include "persist/TieredStore.h"
 
 #include "analysis/CertChecker.h"
-#include "dbi/Compiler.h"
 
 #include <algorithm>
 #include <cassert>
@@ -85,24 +84,14 @@ TieredStore::fetchIntoL1Locked(const std::string &Name,
     if (Rec.Cert.empty())
       continue;
     ++CertFillChecks;
-    if (Rec.Code.size() < dbi::TracePrologueBytes +
-                              static_cast<size_t>(Rec.GuestInstCount) *
-                                  isa::InstructionSize) {
-      ++CertFillRejects;
-      continue;
-    }
-    auto Body =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
-    analysis::CertBindings Bind;
-    Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-    Bind.BodyByteCount =
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    if (!Body ||
-        !analysis::checkCertificateBlob(Rec.Cert.data(),
-                                        Rec.Cert.size(), Rec.GuestStart,
-                                        *Body, nullptr, &Bind)
-             .ok())
+    auto Body = Rec.decodeBody();
+    if (!Body || !analysis::checkTranslation(
+                      {.GuestStart = Rec.GuestStart,
+                       .Body = &*Body,
+                       .Bind = analysis::CertBindings::ofBody(
+                           Rec.bodyBytes(), Rec.GuestInstCount),
+                       .Cert = Rec.Cert})
+                      .Equivalent)
       ++CertFillRejects;
   }
   uint64_t Size = Remote->serializedSize();

@@ -109,9 +109,14 @@ void ThreadPool::submitPerWorker(const std::function<void()> &Task) {
     Task();
     return;
   }
+  enqueueCopies(Threads.size(), Task);
+}
+
+void ThreadPool::enqueueCopies(size_t Copies,
+                               const std::function<void()> &Task) {
   {
     std::unique_lock<std::mutex> Lock(Mutex);
-    Queue.insert(Queue.end(), Threads.size(), Task);
+    Queue.insert(Queue.end(), Copies, Task);
   }
   WorkAvailable.notify_all();
 }
@@ -158,9 +163,9 @@ void ThreadPool::parallelFor(size_t N,
       State->AllDone.notify_all();
     }
   };
-  size_t Helpers = std::min(Threads.size(), N - 1);
-  for (size_t I = 0; I != Helpers; ++I)
-    submit(Drain);
+  // All helpers are queued under one lock, so the calling thread never
+  // waits for the queue lock behind a worker it just woke.
+  enqueueCopies(std::min(Threads.size(), N - 1), Drain);
   // The calling thread participates, so progress never depends on the
   // pool being free of longer-running tasks.
   Drain();

@@ -97,6 +97,9 @@ public:
 
 private:
   void workerMain();
+  /// Enqueues \p Copies copies of \p Task under one lock, then wakes
+  /// the workers with one notify.
+  void enqueueCopies(size_t Copies, const std::function<void()> &Task);
 
   std::mutex Mutex;
   std::condition_variable WorkAvailable;

@@ -156,10 +156,10 @@ AddressIntervals
 pcc::workloads::coveredCode(const dbi::CodeCache &Cache) {
   AddressIntervals Intervals;
   for (const auto &T : Cache.traces())
-    Intervals.emplace_back(T->guestStart(),
-                           T->guestStart() +
-                               T->guestInstCount() *
-                                   isa::InstructionSize);
+    if (T) // Unbuilt plan slots are null: only built translations count.
+      Intervals.emplace_back(T->guestStart(),
+                             T->guestStart() +
+                                 T->guestInstCount() * isa::InstructionSize);
   std::sort(Intervals.begin(), Intervals.end());
   // Merge overlaps (traces overlap when one starts mid-way into code
   // another trace already covered).

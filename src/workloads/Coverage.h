@@ -66,8 +66,9 @@ coverageOfSets(const std::vector<std::vector<uint32_t>> &Sets);
 /// Sorted, disjoint guest address intervals [first, second).
 using AddressIntervals = std::vector<std::pair<uint32_t, uint32_t>>;
 
-/// Address intervals covered by the traces resident in \p Cache —
-/// the static code this run executed under the engine.
+/// Address intervals covered by the translations built in \p Cache —
+/// the static code this run executed under the engine. Unbuilt plan
+/// slots of a primed cache (admitted, never looked up) are skipped.
 AddressIntervals coveredCode(const dbi::CodeCache &Cache);
 
 /// Total bytes covered.

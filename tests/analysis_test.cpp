@@ -197,8 +197,6 @@ TEST(Cfg, UnreachableInstructionsBelongToNoBlock) {
   // The solvers run over exactly the discovered blocks.
   LivenessResult L = solveLiveness(G);
   EXPECT_EQ(L.LiveIn.size(), G.blocks().size());
-  ReachingDefsResult D = solveReachingDefs(G);
-  EXPECT_EQ(D.In.size(), G.blocks().size());
 }
 
 TEST(Cfg, TraceModeMakesBranchTargetsExternal) {
@@ -313,39 +311,6 @@ TEST(Dataflow, LivenessBoundaryIsAllRegsInTraceMode) {
   LivenessResult L = solveLiveness(G);
   // The taken branch leaves the region, so everything is observable.
   EXPECT_EQ(L.LiveOut[A], AllRegs);
-}
-
-TEST(Dataflow, ReachingDefsLoopFixpoint) {
-  const uint32_t Base = 0x1000;
-  Cfg G = buildCfg(loopProgram(Base), Base, {Base});
-  int A = G.blockStartingAt(Base);
-  int B = G.blockStartingAt(Base + 2 * 8);
-  int C = G.blockStartingAt(Base + 5 * 8);
-  ASSERT_GE(A, 0);
-  ASSERT_GE(B, 0);
-  ASSERT_GE(C, 0);
-
-  ReachingDefsResult D = solveReachingDefs(G);
-  // Defs in instruction order: 0 = ldi r1, 1 = ldi r2, 2 = add r2,
-  // 3 = addi r1.
-  ASSERT_EQ(D.DefSites.size(), 4u);
-  EXPECT_EQ(D.DefSites[0], 0u);
-  EXPECT_EQ(D.DefSites[3], 3u);
-
-  // The loop header's entry meets both the initial defs (from A) and
-  // the loop-carried redefinitions (around the backedge) — the
-  // classical may-fixpoint.
-  EXPECT_TRUE(D.reachesEntry(0, static_cast<uint32_t>(B)));
-  EXPECT_TRUE(D.reachesEntry(1, static_cast<uint32_t>(B)));
-  EXPECT_TRUE(D.reachesEntry(2, static_cast<uint32_t>(B)));
-  EXPECT_TRUE(D.reachesEntry(3, static_cast<uint32_t>(B)));
-  // Nothing reaches the root's entry.
-  EXPECT_FALSE(D.reachesEntry(0, static_cast<uint32_t>(A)));
-  // Only the in-loop redefinitions survive to C (they kill 0 and 1).
-  EXPECT_FALSE(D.reachesEntry(0, static_cast<uint32_t>(C)));
-  EXPECT_FALSE(D.reachesEntry(1, static_cast<uint32_t>(C)));
-  EXPECT_TRUE(D.reachesEntry(2, static_cast<uint32_t>(C)));
-  EXPECT_TRUE(D.reachesEntry(3, static_cast<uint32_t>(C)));
 }
 
 TEST(Dataflow, DeadTraceDefs) {

@@ -39,6 +39,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -672,4 +673,281 @@ TEST(CertFleet, LedgerCertServedAndTamperSoundness) {
   EXPECT_GT(Tampered->CertFillRejects, 0u);
   EXPECT_EQ(Tampered->TotalRuns,
             uint64_t(Opts.Machines) * Opts.Rounds);
+}
+
+//===----------------------------------------------------------------------===//
+// One adversary, every consumer: forged certificates and miscompiled
+// bodies, each written with every CRC in the file valid, fed to the
+// warm prime, finalize under ValidateSemantic, pcc-dbcheck plain and
+// --deep, and a tiered-store L2 fill.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What every consumer counted for one variant of a cache file.
+struct ConsumerCounts {
+  // Warm prime: a run that executes the attacked trace.
+  persist::PersistentRunResult Prime;
+  bool PrimeQuarantined = false;
+  // Finalize under ValidateSemantic: a run that admits the attacked
+  // trace but never executes it, and what it wrote at its start.
+  uint64_t FinalizeVerifyFailures = 0;
+  std::optional<persist::TraceRecord> Written;
+  // pcc-dbcheck plain and --deep.
+  persist::DbCheckReport Plain, Deep;
+  // Tiered store: the L2 fill's self-check and the prime it serves.
+  persist::TieredStats Fill;
+  persist::PersistentRunResult TieredPrime;
+};
+
+std::optional<persist::TraceRecord>
+findRecord(const persist::CacheFile &File, uint32_t Start) {
+  for (const persist::TraceRecord &Rec : File.Traces)
+    if (Rec.GuestStart == Start)
+      return Rec;
+  return std::nullopt;
+}
+
+persist::TraceRecord &recordAt(persist::CacheFile &File, uint32_t Start) {
+  for (persist::TraceRecord &Rec : File.Traces)
+    if (Rec.GuestStart == Start)
+      return Rec;
+  ADD_FAILURE() << "no record at " << Start;
+  return File.Traces.front();
+}
+
+/// Feeds \p File, stored under \p Name, to all five consumers.
+ConsumerCounts consumeEverywhere(const TinyWorkload &W,
+                                 const std::string &Name,
+                                 const persist::CacheFile &File,
+                                 uint32_t Start,
+                                 const std::vector<std::string> &Modules) {
+  ConsumerCounts C;
+  const std::vector<uint8_t> Bytes = File.serialize();
+  {
+    TempDir Dir;
+    EXPECT_TRUE(writeFileAtomic(Dir.path() + "/" + Name, Bytes).ok());
+    persist::CacheDatabase Db(Dir.path());
+    auto Warm = run(W, W.allSlotsInput(4), Db);
+    EXPECT_TRUE(Warm.ok()) << Warm.status().toString();
+    if (Warm)
+      C.Prime = *Warm;
+    auto Q = Db.quarantined();
+    C.PrimeQuarantined = Q.ok() && !Q->empty();
+  }
+  {
+    TempDir Dir;
+    EXPECT_TRUE(writeFileAtomic(Dir.path() + "/" + Name, Bytes).ok());
+    persist::CacheDatabase Db(Dir.path());
+    persist::PersistOptions Opts;
+    Opts.ValidateSemantic = true;
+    auto Idle = run(W, W.input({}), Db, Opts);
+    EXPECT_TRUE(Idle.ok()) << Idle.status().toString();
+    if (Idle)
+      C.FinalizeVerifyFailures = Idle->Stats.VerifyFailures;
+    auto Out = Db.loadPath(Dir.path() + "/" + Name);
+    EXPECT_TRUE(Out.ok());
+    if (Out)
+      C.Written = findRecord(*Out, Start);
+  }
+  {
+    TempDir Dir;
+    EXPECT_TRUE(writeFileAtomic(Dir.path() + "/" + Name, Bytes).ok());
+    auto Plain = persist::checkDatabase(Dir.path());
+    EXPECT_TRUE(Plain.ok());
+    if (Plain)
+      C.Plain = *Plain;
+    persist::DbCheckOptions DeepOpts;
+    DeepOpts.Deep = true;
+    DeepOpts.ModulePaths = Modules;
+    auto Deep = persist::checkDatabase(Dir.path(), DeepOpts);
+    EXPECT_TRUE(Deep.ok());
+    if (Deep)
+      C.Deep = *Deep;
+  }
+  {
+    auto L2 = std::make_shared<persist::MemoryStore>("<remote>");
+    EXPECT_TRUE(L2->putRef(L2->location() + "/" + Name, File).ok());
+    auto Tier = std::make_shared<persist::TieredStore>(
+        std::make_shared<persist::MemoryStore>("<l1>"), L2);
+    persist::CacheDatabase Db(Tier);
+    auto Warm = run(W, W.allSlotsInput(4), Db);
+    EXPECT_TRUE(Warm.ok()) << Warm.status().toString();
+    if (Warm)
+      C.TieredPrime = *Warm;
+    C.Fill = Tier->tieredStats();
+  }
+  return C;
+}
+
+} // namespace
+
+TEST(CertConsumers, ForgedCertsAndMiscompilesRejectedAlikeEverywhere) {
+  TinyWorkload W = makeTinyWorkload(3, 2, 784);
+  TempDir Dir, RefDir, ProbeDir, ModDir;
+  persist::CacheDatabase Db(Dir.path()), Ref(RefDir.path());
+  const std::vector<uint8_t> Input = W.allSlotsInput(4);
+  const std::string Path = growCertifiedCache(W, Db, Dir.path(), Input);
+  const std::string Name = Path.substr(Path.rfind('/') + 1);
+  auto Original = Db.loadPath(Path);
+  ASSERT_TRUE(Original.ok());
+  auto Baseline = run(W, Input, Ref);
+  ASSERT_TRUE(Baseline.ok());
+
+  std::vector<std::string> Modules = {ModDir.path() + "/app.mod",
+                                      ModDir.path() + "/lib.mod"};
+  ASSERT_TRUE(writeFileAtomic(Modules[0], W.App->serialize()).ok());
+  auto Lib = W.Registry.find("libtest.so");
+  ASSERT_TRUE(Lib != nullptr);
+  ASSERT_TRUE(writeFileAtomic(Modules[1], Lib->serialize()).ok());
+
+  // The attacked trace: a certified library trace that a warm run over
+  // the same input executes (its heat grows) and an idle run, which
+  // calls no library code, leaves alone.
+  ASSERT_TRUE(
+      writeFileAtomic(ProbeDir.path() + "/" + Name, Original->serialize())
+          .ok());
+  persist::CacheDatabase Probe(ProbeDir.path());
+  ASSERT_TRUE(run(W, Input, Probe).ok());
+  auto Probed = Probe.loadPath(ProbeDir.path() + "/" + Name);
+  ASSERT_TRUE(Probed.ok());
+  uint32_t Start = 0;
+  for (const persist::TraceRecord &Rec : Original->Traces) {
+    auto After = findRecord(*Probed, Rec.GuestStart);
+    if (Rec.OptGen > 0 && !Rec.Cert.empty() && Rec.ModuleIndex != 0 &&
+        After && After->Heat > Rec.Heat) {
+      Start = Rec.GuestStart;
+      break;
+    }
+  }
+  ASSERT_NE(Start, 0u) << "no executed, certified library trace";
+  const persist::TraceRecord &Victim = recordAt(*Original, Start);
+  auto Body = Victim.decodeBody();
+  ASSERT_TRUE(Body.ok());
+  auto Cert = Certificate::deserialize(Victim.Cert.data(), Victim.Cert.size());
+  ASSERT_TRUE(Cert.ok());
+
+  // A miscompile: one changed immediate the prover refuses.
+  std::vector<Instruction> Bad;
+  for (size_t I = 0; I != Body->size() && Bad.empty(); ++I) {
+    if ((*Body)[I].Op == Opcode::Nop || isa::hasCodeTarget((*Body)[I].Op))
+      continue;
+    std::vector<Instruction> Try = *Body;
+    Try[I].Imm += 1;
+    if (!validateTranslation(Start, Cert->Source, Try).Equivalent)
+      Bad = std::move(Try);
+  }
+  ASSERT_FALSE(Bad.empty()) << "no immediate whose change is observable";
+  const std::vector<uint8_t> BadBytes = isa::encodeAll(Bad);
+
+  struct Variant {
+    const char *Name;
+    bool Forged;      ///< The certificate does not prove the body.
+    bool Miscompiled; ///< The body does not translate the guest code.
+    persist::CacheFile File;
+  };
+  std::vector<Variant> Variants;
+  Variants.push_back({"intact", false, false, *Original});
+  {
+    Certificate Flipped = *Cert;
+    Flipped.StoresDigest ^= 0x10; // One byte; serialize() re-CRCs.
+    Variant V{"flipped-byte", true, false, *Original};
+    recordAt(V.File, Start).Cert = Flipped.serialize();
+    Variants.push_back(std::move(V));
+  }
+  {
+    Variant V{"miscompiled-old-cert", true, true, *Original};
+    persist::TraceRecord &Rec = recordAt(V.File, Start);
+    std::copy(BadBytes.begin(), BadBytes.end(),
+              Rec.Code.begin() + dbi::TracePrologueBytes);
+    Variants.push_back(std::move(V));
+  }
+  {
+    Certificate Rebound = *Cert;
+    Rebound.BodyCrc = crc32(BadBytes.data(), BadBytes.size());
+    Variant V{"miscompiled-rebound-cert", true, true, *Original};
+    persist::TraceRecord &Rec = recordAt(V.File, Start);
+    std::copy(BadBytes.begin(), BadBytes.end(),
+              Rec.Code.begin() + dbi::TracePrologueBytes);
+    Rec.Cert = Rebound.serialize();
+    Variants.push_back(std::move(V));
+  }
+
+  const ConsumerCounts K =
+      consumeEverywhere(W, Name, Variants[0].File, Start, Modules);
+  // The intact file: every consumer checks certificates and none
+  // rejects one.
+  EXPECT_GT(K.Prime.Stats.CertsChecked, 0u);
+  EXPECT_EQ(K.Prime.Stats.CertChecksFailed, 0u);
+  EXPECT_EQ(K.Prime.Stats.VerifyFailures, 0u);
+  EXPECT_EQ(K.FinalizeVerifyFailures, 0u);
+  EXPECT_EQ(K.Plain.CertsRejected, 0u);
+  EXPECT_EQ(K.Deep.CertsRejected, 0u);
+  EXPECT_EQ(K.Deep.TracesMismatched, 0u);
+  EXPECT_GT(K.Fill.CertFillChecks, 0u);
+  EXPECT_EQ(K.Fill.CertFillRejects, 0u);
+  ASSERT_TRUE(K.Written.has_value());
+  EXPECT_EQ(K.Written->Heat, Victim.Heat) << "the idle run executed it";
+  EXPECT_EQ(K.Written->Cert, Victim.Cert);
+
+  for (const Variant &V : Variants) {
+    SCOPED_TRACE(V.Name);
+    const ConsumerCounts C =
+        consumeEverywhere(W, Name, V.File, Start, Modules);
+    const uint64_t Rejected = V.Forged ? 1 : 0;
+    const uint64_t Refused = V.Miscompiled ? 1 : 0;
+
+    // No consumer accepts a forged certificate or a miscompiled body.
+    // Prime: the certificate is rejected, the prover backstops, a
+    // miscompile is dropped (and its cache quarantined), and the guest
+    // sees the baseline.
+    EXPECT_TRUE(C.Prime.Run.observablyEquals(Baseline->Run));
+    // (Retranslating a dropped trace can steer the run into promoted
+    // traces the intact run never entered, each checked once more.)
+    EXPECT_GE(C.Prime.Stats.CertsChecked, K.Prime.Stats.CertsChecked);
+    EXPECT_EQ(C.Prime.Stats.CertChecksFailed - K.Prime.Stats.CertChecksFailed,
+              Rejected);
+    EXPECT_EQ(C.Prime.Stats.VerifyFailures - K.Prime.Stats.VerifyFailures,
+              Refused);
+    EXPECT_EQ(C.PrimeQuarantined, V.Miscompiled);
+    // Finalize: a miscompile is not written back; a forged certificate
+    // is stripped from the genuine body it claimed to prove.
+    EXPECT_EQ(C.FinalizeVerifyFailures - K.FinalizeVerifyFailures, Refused);
+    if (V.Miscompiled) {
+      EXPECT_FALSE(C.Written.has_value());
+    } else {
+      ASSERT_TRUE(C.Written.has_value());
+      EXPECT_EQ(C.Written->Code, Victim.Code);
+      EXPECT_EQ(C.Written->Cert.empty(), V.Forged);
+    }
+    // pcc-dbcheck: plain replays every certificate self-contained,
+    // --deep binds it to the module text and re-proves a rejection.
+    EXPECT_EQ(C.Plain.CertsChecked, K.Plain.CertsChecked);
+    EXPECT_EQ(C.Plain.CertsRejected - K.Plain.CertsRejected, Rejected);
+    EXPECT_EQ(C.Plain.clean(), !V.Forged);
+    EXPECT_EQ(C.Deep.CertsChecked, K.Deep.CertsChecked);
+    EXPECT_EQ(C.Deep.CertsRejected - K.Deep.CertsRejected, Rejected);
+    EXPECT_EQ(C.Deep.TracesMismatched - K.Deep.TracesMismatched, Refused);
+    // Tiered store: the fill flags the blob, and the prime it serves
+    // still rejects it.
+    EXPECT_EQ(C.Fill.CertFillChecks, K.Fill.CertFillChecks);
+    EXPECT_EQ(C.Fill.CertFillRejects - K.Fill.CertFillRejects, Rejected);
+    EXPECT_TRUE(C.TieredPrime.Run.observablyEquals(Baseline->Run));
+
+    // The consumers agree: one rejected certificate each, and every
+    // prover run at prime is one deep re-proof (vouched or mismatched).
+    EXPECT_EQ(C.Prime.Stats.CertChecksFailed - K.Prime.Stats.CertChecksFailed,
+              C.Plain.CertsRejected - K.Plain.CertsRejected);
+    EXPECT_EQ(C.Prime.Stats.CertChecksFailed - K.Prime.Stats.CertChecksFailed,
+              C.Deep.CertsRejected - K.Deep.CertsRejected);
+    EXPECT_EQ(C.Prime.Stats.CertChecksFailed - K.Prime.Stats.CertChecksFailed,
+              C.Fill.CertFillRejects - K.Fill.CertFillRejects);
+    EXPECT_EQ(C.TieredPrime.Stats.CertChecksFailed,
+              C.Prime.Stats.CertChecksFailed);
+    EXPECT_EQ(C.Prime.Stats.ProofsReplayed - K.Prime.Stats.ProofsReplayed,
+              (C.Deep.CertsReplayedByProver - K.Deep.CertsReplayedByProver) +
+                  (C.Deep.TracesMismatched - K.Deep.TracesMismatched));
+    EXPECT_EQ(C.Prime.Stats.VerifyFailures - K.Prime.Stats.VerifyFailures,
+              C.Deep.TracesMismatched - K.Deep.TracesMismatched);
+  }
 }

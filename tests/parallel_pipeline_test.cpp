@@ -523,8 +523,9 @@ HandQueueRun runClaimedThenPublished(const TinyWorkload &W,
   }
   bool Released = !UseQueue;
   Engine.setMaterializeValidator(
-      [&Released, &Release, Q](uint32_t, const std::vector<isa::Instruction> &,
-                               dbi::Engine::MaterializeCheckInfo &) {
+      [&Released, &Release, Q](const dbi::TranslatedTrace &,
+                               const std::vector<isa::Instruction> &,
+                               dbi::EngineStats &) {
         if (!Released) {
           Released = true;
           Release.store(true);

@@ -1,9 +1,11 @@
 //===- tests/workloads_test.cpp - workload generator tests ----------------===//
 
+#include "persist/Session.h"
 #include "workloads/Codegen.h"
 #include "workloads/Coverage.h"
 #include "workloads/Gui.h"
 #include "workloads/Oracle.h"
+#include "workloads/Runner.h"
 #include "workloads/Spec2k.h"
 
 #include "TestUtils.h"
@@ -147,6 +149,35 @@ TEST(CoverageIntervals, ModuleRelativeAcrossBases) {
   auto RelA = moduleRelativeCoverage(CoverA, {At1000});
   auto RelB = moduleRelativeCoverage(CoverB, {At8000});
   EXPECT_DOUBLE_EQ(moduleRelativeCodeCoverage(RelA, RelB), 1.0);
+}
+
+TEST(CoverageIntervals, PrimedCacheReportsBuiltTranslationsOnly) {
+  tests::TinyWorkload W = tests::makeTinyWorkload(3, 2);
+  tests::TempDir Dir;
+  persist::CacheDatabase Db(Dir.path());
+  const std::vector<uint8_t> Input = W.allSlotsInput(2);
+  auto Cold = runPersistent(W.Registry, W.App, Input, Db);
+  ASSERT_TRUE(Cold.ok()) << Cold.status().toString();
+
+  auto M = makeMachine(W.Registry, W.App, Input);
+  ASSERT_TRUE(M.ok());
+  dbi::Engine Engine(*M, nullptr);
+  persist::PersistentSession Session(Db);
+  auto Prime = Session.prime(Engine);
+  ASSERT_TRUE(Prime.ok());
+  ASSERT_GT(Prime->TracesInstalled, 0u);
+  // Right after prime every admitted trace is an unbuilt plan slot: no
+  // translation is built yet, so nothing is covered.
+  EXPECT_TRUE(coveredCode(Engine.cache()).empty());
+
+  ASSERT_TRUE(Engine.run().ok());
+  // The run built the traces it needed; they cover what a cold run
+  // covers.
+  auto Cover = coveredCode(Engine.cache());
+  EXPECT_FALSE(Cover.empty());
+  auto Fresh = runUnderEngine(W.Registry, W.App, Input);
+  ASSERT_TRUE(Fresh.ok());
+  EXPECT_EQ(intervalBytes(Cover), intervalBytes(Fresh->Coverage));
 }
 
 TEST(SpecSuite, BuildsElevenBenchmarks) {
